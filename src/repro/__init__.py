@@ -71,16 +71,12 @@ from .robustness import (
     BatchJournal,
     Budget,
     CancellationToken,
-    CircuitBreaker,
-    CircuitBreakerBoard,
-    DegradationLadder,
     ExecutionContext,
     FailureInfo,
     FaultPlan,
     ParallelExecutor,
     QuestionOutcome,
     ReplayedOutcome,
-    RetryPolicy,
     execution_context,
 )
 from .relational import (
@@ -155,7 +151,6 @@ def explain_outcomes(
     config: NedExplainConfig | None = None,
     cache: EvaluationCache | None = None,
     budget: Budget | None = None,
-    retry: RetryPolicy | None = None,
     fallback_baseline: bool = False,
     journal: BatchJournal | None = None,
     workers: int = 1,
@@ -169,8 +164,8 @@ def explain_outcomes(
     Always returns one :class:`~repro.robustness.QuestionOutcome` per
     question -- a report, or a structured failure (error class, phase,
     budget spent) when that question failed.  Never raises for a
-    per-question failure.  The resilience knobs (*retry*,
-    *fallback_baseline*, *journal*) and the parallel-executor knobs
+    per-question failure.  The *fallback_baseline* and *journal*
+    knobs and the parallel-executor knobs
     (*workers*, *queue_size*, *shed_after*, *batch_deadline_s*,
     *cancel*) are forwarded to
     :meth:`~repro.core.nedexplain.NedExplain.explain_each`.
@@ -182,7 +177,6 @@ def explain_outcomes(
     return engine.explain_each(
         why_not_questions,
         budget=budget,
-        retry=retry,
         fallback_baseline=fallback_baseline,
         journal=journal,
         workers=workers,
@@ -204,13 +198,10 @@ __all__ = [
     "CacheStats",
     "CancellationToken",
     "CanonicalQuery",
-    "CircuitBreaker",
-    "CircuitBreakerBoard",
     "ConfigurationError",
     "CTuple",
     "Database",
     "DatabaseInstance",
-    "DegradationLadder",
     "EvaluationCache",
     "ExecutionContext",
     "FailureInfo",
@@ -227,7 +218,6 @@ __all__ = [
     "Renaming",
     "ReplayedOutcome",
     "ReproError",
-    "RetryPolicy",
     "SPJASpec",
     "Tracer",
     "Tuple",

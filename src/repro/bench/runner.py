@@ -26,7 +26,6 @@ from ..robustness.budget import (
     ExecutionContext,
     execution_context,
 )
-from ..robustness.resilience import RetryPolicy
 from ..workloads.usecases import UseCase, use_case_setup
 
 
@@ -74,38 +73,17 @@ def run_use_case(
     run_baseline: bool = True,
     config: NedExplainConfig | None = None,
     budget: Budget | None = None,
-    retry: RetryPolicy | None = None,
-    workers: int = 1,
 ) -> UseCaseResult:
     """Run one named use case with both algorithms.
 
     With a *budget*, NedExplain degrades to a partial report on
     exhaustion (``result.ned.partial``); the baseline, which has no
     partial-answer notion, is marked n.a. when its budget runs out so
-    a runaway baseline cannot stall a benchmark sweep.  With a *retry*
-    policy, the NedExplain run goes through the resilient
-    :meth:`~repro.core.nedexplain.NedExplain.explain_each` path --
-    transient faults (e.g. an injected chaos plan during a soak sweep)
-    are retried instead of aborting the benchmark.  With *workers* > 1
-    the same path runs under the supervised parallel executor, which
-    sweeps use to sanity-check that parallel answers match sequential
-    ones.
+    a runaway baseline cannot stall a benchmark sweep.
     """
     use_case, database, canonical = use_case_setup(name, scale)
     ned_engine = NedExplain(canonical, database=database, config=config)
-    if retry is not None or workers > 1:
-        (outcome,) = ned_engine.explain_each(
-            [use_case.predicate],
-            budget=budget,
-            retry=retry,
-            workers=workers,
-        )
-        if outcome.report is None:
-            assert outcome.error is not None
-            raise outcome.error
-        ned_report = outcome.report
-    else:
-        ned_report = ned_engine.explain(use_case.predicate, budget=budget)
+    ned_report = ned_engine.explain(use_case.predicate, budget=budget)
 
     whynot_report: WhyNotBaselineReport | None = None
     whynot_na = False

@@ -73,16 +73,15 @@ from .robustness import (
     BatchJournal,
     Budget,
     CancellationToken,
-    RetryPolicy,
 )
 
 #: exit codes (the full table lives in docs/robustness.md):
 #: 0 = success; 2 = fatal error; 3 = the run completed but degraded --
 #: a batch with per-question failures, a budget-limited partial report,
 #: a question answered by the baseline fallback, or questions cancelled
-#: by an expired --batch-deadline; 4 = resilience was requested
-#: (--retries / --fallback-baseline) and at least one question still
-#: produced no answer at any ladder rung; 5 = a drain signal
+#: by an expired --batch-deadline; 4 = --fallback-baseline was given
+#: and at least one question still got no answer (the baseline failed
+#: on it too); 5 = a drain signal
 #: (SIGINT/SIGTERM) was received -- in-flight questions finished and
 #: were journaled, not-yet-started ones were cancelled; 6 = the
 #: --shed-after quota refused at least one question.  Precedence when
@@ -113,8 +112,8 @@ _EXIT_ENVELOPES: dict[int, tuple[str, str]] = {
     ),
     EXIT_NO_FALLBACK: (
         "ResilienceExhausted",
-        "resilience was requested but at least one question produced "
-        "no answer at any degradation rung",
+        "--fallback-baseline was given but at least one question "
+        "still got no answer",
     ),
     EXIT_DRAINED: (
         "BatchDrained",
@@ -314,26 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = explain.add_argument_group("resilience")
     resilience.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts per question (default: 1, no retry); "
-        "transient faults are re-attempted with exponential backoff",
-    )
-    resilience.add_argument(
-        "--retry-backoff-ms",
-        dest="retry_backoff_ms",
-        type=float,
-        default=100.0,
-        metavar="MS",
-        help="base backoff before the first retry (default: 100)",
-    )
-    resilience.add_argument(
         "--fallback-baseline",
         dest="fallback_baseline",
         action="store_true",
-        help="when a question exhausts its retries, answer it with "
+        help="when NedExplain fails on a question, answer it with "
         "the Why-Not baseline instead of failing",
     )
     resilience.add_argument(
@@ -622,7 +605,6 @@ def _run_explain(args, writer: OutputWriter) -> int:
     if (
         args.batch
         or len(questions) > 1
-        or args.retries is not None
         or args.fallback_baseline
         or args.journal
         or args.workers > 1
@@ -677,20 +659,14 @@ def _run_explain_batch(
     Fault-isolating: every question resolves to a report or a recorded
     failure; one bad question never drops the rest of the batch.  The
     exit code is 3 (not 0) when any question failed or was degraded,
-    and 4 when resilience was requested (--retries /
-    --fallback-baseline) but a question still got no answer at any
-    degradation rung.  Parallel batches add two more: 5 when a
-    SIGINT/SIGTERM triggered a graceful drain, 6 when the --shed-after
-    quota refused at least one question (precedence 5 > 6 > 4 > 3).
+    and 4 when --fallback-baseline was given but a question still got
+    no answer (the baseline failed on it too).  Parallel batches add
+    two more: 5 when a SIGINT/SIGTERM triggered a graceful drain, 6
+    when the --shed-after quota refused at least one question
+    (precedence 5 > 6 > 4 > 3).
     """
     from .relational import EvaluationCache
 
-    retry = None
-    if args.retries is not None:
-        retry = RetryPolicy(
-            max_attempts=args.retries,
-            backoff_ms=args.retry_backoff_ms,
-        )
     journal = None
     if args.journal:
         journal = BatchJournal(args.journal, resume=args.resume)
@@ -729,7 +705,6 @@ def _run_explain_batch(
         outcomes = engine.explain_each(
             questions,
             budget=budget,
-            retry=retry,
             fallback_baseline=args.fallback_baseline,
             journal=journal,
             workers=args.workers,
@@ -762,10 +737,7 @@ def _run_explain_batch(
             writer.block(outcome.report.summary())
             degraded = degraded or outcome.report.partial
         elif outcome.baseline is not None:
-            writer.line(
-                "  degraded to Why-Not baseline "
-                f"(after {outcome.attempts} attempt(s)):"
-            )
+            writer.line("  degraded to Why-Not baseline:")
             writer.block(outcome.baseline.summary())
             degraded = True
         elif outcome.degradation_level in ("shed", "cancelled"):
@@ -828,7 +800,6 @@ def _run_explain_batch(
                     )
                     writer.line(f"  FAILED: {message}")
                     degraded = True
-    resilient = args.retries is not None or args.fallback_baseline
     if drain_signal:
         writer.set("drained_by", drain_signal[0])
         writer.line(
@@ -838,7 +809,7 @@ def _run_explain_batch(
         return EXIT_DRAINED
     if shed:
         return EXIT_SHED
-    if resilient and unanswered:
+    if args.fallback_baseline and unanswered:
         return EXIT_NO_FALLBACK
     return EXIT_DEGRADED if degraded else EXIT_OK
 

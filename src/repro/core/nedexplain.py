@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..errors import (
     BatchError,
@@ -50,7 +50,6 @@ from ..obs.clock import perf_counter
 from ..obs.trace import current_tracer
 from ..relational.instance import DatabaseInstance
 from ..relational.tuples import Tuple
-from ..robustness.breaker import CircuitBreakerBoard
 from ..robustness.budget import (
     Budget,
     ExecutionContext,
@@ -65,7 +64,6 @@ from ..robustness.outcomes import (
     QuestionOutcome,
     ReplayedOutcome,
 )
-from ..robustness.resilience import DegradationLadder, RetryPolicy
 from .answers import DetailedEntry, NedExplainReport, WhyNotAnswer
 from .canonical import CanonicalQuery
 from .compatibility import (
@@ -77,6 +75,9 @@ from .successors import find_successors
 from .tabq import TabEntry, TabQ
 from .unrename import unrename_ctuple
 from .whynot_question import CTuple, Predicate, parse_predicate
+
+if TYPE_CHECKING:  # runtime import would cycle through repro.baseline
+    from ..baseline.whynot import WhyNotBaselineReport
 
 #: The four phases of Fig. 5.
 PHASES = ("Initialization", "CompatibleFinder", "SuccessorsFinder", "BottomUp")
@@ -141,9 +142,6 @@ class NedExplainConfig:
     ``explain``/``explain_each`` call that does not pass its own; when
     it runs out the call returns an explicit *degraded* report
     (``report.partial``) instead of raising.
-    ``retry`` is the default :class:`~repro.robustness.resilience.RetryPolicy`
-    applied by ``explain_each`` to questions that fail with a transient
-    error (again overridable per call).
     """
 
     early_termination: bool = True
@@ -152,7 +150,6 @@ class NedExplainConfig:
     use_shared_evaluation: bool = True
     use_columnar: bool = False
     budget: Budget | None = None
-    retry: RetryPolicy | None = None
 
 
 class NedExplain:
@@ -399,10 +396,7 @@ class NedExplain:
         self,
         predicates: Iterable[Predicate | CTuple | str],
         budget: Budget | None = None,
-        retry: RetryPolicy | None = None,
-        breakers: CircuitBreakerBoard | None = None,
         fallback_baseline: bool = False,
-        ladder: DegradationLadder | None = None,
         journal: BatchJournal | None = None,
         workers: int = 1,
         queue_size: int | None = None,
@@ -410,7 +404,7 @@ class NedExplain:
         batch_deadline_s: float | None = None,
         cancel: CancellationToken | None = None,
     ) -> tuple[QuestionOutcome | ReplayedOutcome, ...]:
-        """Fault-isolating, resilient batch: one outcome per question.
+        """Fault-isolating batch: one outcome per question.
 
         Each question gets a fresh per-question
         :class:`~repro.robustness.budget.ExecutionContext` (built from
@@ -422,25 +416,13 @@ class NedExplain:
         are wrapped in :class:`~repro.errors.EvaluationError` so the
         ``except ReproError`` contract holds for callers.
 
-        Resilience knobs (all optional; defaults reproduce the plain
-        fault-isolated batch):
+        Each question is resolved in exactly one attempt: the engine is
+        deterministic in (query, instance, question), so re-running a
+        failed question cannot change its outcome.
 
-        *retry*
-            a :class:`~repro.robustness.resilience.RetryPolicy`
-            (falling back to ``config.retry``): transient failures are
-            re-attempted with deterministic backoff on the ambient
-            clock; ``outcome.attempts`` counts what each question
-            consumed.
-        *breakers*
-            a :class:`~repro.robustness.breaker.CircuitBreakerBoard`
-            consulted between attempts; a fresh board is created when
-            a retry policy is active and none is passed.  An open
-            breaker for the failing site stops further retries -- the
-            question drops down the degradation ladder instead of
-            hammering a persistently broken site.
-        *fallback_baseline* / *ladder*
-            when retries are exhausted, answer with the Why-Not
-            baseline instead of failing
+        *fallback_baseline*
+            when the attempt fails, answer with the Why-Not baseline
+            instead of failing
             (``outcome.degradation_level == "baseline"``,
             the answer in ``outcome.baseline``).
         *journal*
@@ -483,12 +465,6 @@ class NedExplain:
             journalled, unstarted ones become ``"cancelled"`` outcomes.
         """
         effective = budget if budget is not None else self.config.budget
-        if retry is None:
-            retry = self.config.retry
-        if breakers is None and retry is not None:
-            breakers = CircuitBreakerBoard()
-        if ladder is None and fallback_baseline:
-            ladder = DegradationLadder.for_engine(self)
         executor = ParallelExecutor(
             workers=workers,
             queue_size=queue_size,
@@ -510,7 +486,7 @@ class NedExplain:
                 effective, executor.remaining_s()
             )
             return self._resolve_outcome(
-                predicate, question_budget, retry, breakers, ladder
+                predicate, question_budget, fallback_baseline
             )
 
         def _record(index, predicate, outcome):
@@ -525,9 +501,8 @@ class NedExplain:
             )
             return QuestionOutcome(
                 question=predicate,
-                failure=FailureInfo.from_error(error, attempts=0),
+                failure=FailureInfo.from_error(error),
                 error=error,
-                attempts=0,
                 degradation_level="shed",
             )
 
@@ -538,9 +513,8 @@ class NedExplain:
             )
             return QuestionOutcome(
                 question=predicate,
-                failure=FailureInfo.from_error(error, attempts=0),
+                failure=FailureInfo.from_error(error),
                 error=error,
-                attempts=0,
                 degradation_level="cancelled",
             )
 
@@ -580,109 +554,74 @@ class NedExplain:
         self,
         predicate: Predicate | CTuple | str,
         budget: Budget | None,
-        retry: RetryPolicy | None,
-        breakers: CircuitBreakerBoard | None,
-        ladder: DegradationLadder | None,
+        fallback_baseline: bool,
     ) -> QuestionOutcome:
-        """One question, driven to an outcome through the resilience
-        machinery: attempt -> retry (backoff, breaker-gated) ->
-        degradation ladder -> structured failure.
+        """One question, driven to an outcome: attempt -> optional
+        Why-Not baseline rung -> structured failure.
 
-        The whole resolution (all attempts) runs under a
+        The resolution runs under a
         :func:`~repro.robustness.faults.fault_scope` keyed by the
         question, so question-scoped fault plans fire identically
         whether the batch is sequential or parallel."""
-        question_key = str(predicate)
-        with fault_scope(question_key):
-            return self._resolve_scoped(
-                predicate, budget, retry, breakers, ladder, question_key
-            )
-
-    def _resolve_scoped(
-        self,
-        predicate: Predicate | CTuple | str,
-        budget: Budget | None,
-        retry: RetryPolicy | None,
-        breakers: CircuitBreakerBoard | None,
-        ladder: DegradationLadder | None,
-        question_key: str,
-    ) -> QuestionOutcome:
-        max_attempts = retry.max_attempts if retry is not None else 1
-        attempts = 0
-        failed_site: str | None = None
-        last_error: ReproError | None = None
-        last_context: ExecutionContext | None = None
-        while attempts < max_attempts:
-            attempts += 1
-            context = ExecutionContext(budget)
+        context = ExecutionContext(budget)
+        with fault_scope(str(predicate)):
             try:
                 with execution_context(context):
                     report = self.explain(predicate)
             except ReproError as exc:
                 error: ReproError = exc
             except Exception as exc:  # noqa: BLE001 -- containment
-                wrapped = EvaluationError(
+                error = EvaluationError(
                     f"unexpected {type(exc).__name__} while explaining "
                     f"{predicate!r}: {exc}"
                 )
-                wrapped.__cause__ = exc
-                error = wrapped
+                error.__cause__ = exc
             else:
-                if failed_site is not None and breakers is not None:
-                    # a half-open probe (or plain retry) succeeded:
-                    # report the recovery so the breaker can close
-                    breakers.record_success(failed_site)
-                return QuestionOutcome(
-                    question=predicate,
-                    report=report,
-                    attempts=attempts,
-                )
-            # ---- failure path -------------------------------------
-            failed_site = (
-                getattr(error, "site", None) or type(error).__name__
+                return QuestionOutcome(question=predicate, report=report)
+            failure = FailureInfo.from_error(
+                error, phase=context.phase, spent=context.spent()
             )
-            if breakers is not None:
-                breakers.record_failure(failed_site)
-            last_error, last_context = error, context
-            if (
-                retry is None
-                or attempts >= max_attempts
-                or not retry.is_retryable(error)
-            ):
-                break
-            if breakers is not None and not breakers.allow(failed_site):
-                break  # breaker open: stop hammering this site
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.counter("resilience.retries").inc()
-                tracer.metrics.counter(
-                    f"resilience.retries.{failed_site}"
-                ).inc()
-            retry.wait(attempts - 1, key=question_key)
-        assert last_error is not None and last_context is not None
-        failure = FailureInfo.from_error(
-            last_error,
-            phase=last_context.phase,
-            spent=last_context.spent(),
-            attempts=attempts,
-        )
-        if ladder is not None:
-            baseline = ladder.baseline_answer(predicate)
-            if baseline is not None:
-                return QuestionOutcome(
-                    question=predicate,
-                    failure=failure,
-                    error=last_error,
-                    attempts=attempts,
-                    degradation_level="baseline",
-                    baseline=baseline,
-                )
+            if fallback_baseline:
+                baseline = self._baseline_answer(predicate)
+                if baseline is not None:
+                    return QuestionOutcome(
+                        question=predicate,
+                        failure=failure,
+                        error=error,
+                        baseline=baseline,
+                    )
         return QuestionOutcome(
-            question=predicate,
-            failure=failure,
-            error=last_error,
-            attempts=attempts,
+            question=predicate, failure=failure, error=error
         )
+
+    def _baseline_answer(
+        self, predicate: Predicate | CTuple | str
+    ) -> WhyNotBaselineReport | None:
+        """The baseline rung: the Why-Not (Chapman & Jagadish) answer
+        to a question NedExplain failed on, or ``None`` if the baseline
+        cannot resolve it either (e.g. the
+        :class:`~repro.errors.UnsupportedQueryError` of aggregation
+        queries, the paper's "n.a." rows).  The run is deliberately
+        **uncached**: the shared evaluation cache may be the very site
+        that failed."""
+        from ..baseline.whynot import WhyNotBaseline
+
+        tracer = current_tracer()
+        try:
+            question = self._coerce(predicate)
+            # the baseline never checks a question against the query: a
+            # malformed one must fail here, not come back as "(none)"
+            question.validate_against(self.canonical.root)
+            report = WhyNotBaseline(
+                self.canonical, instance=self.instance, use_cache=False
+            ).explain(question)
+        except ReproError:
+            if tracer is not None:
+                tracer.metrics.counter("resilience.fallbacks.failed").inc()
+            return None
+        if tracer is not None:
+            tracer.metrics.counter("resilience.fallbacks.baseline").inc()
+        return report
 
     def _note_phase(self, name: str) -> None:
         """Point the ambient execution context at the running phase."""

@@ -50,10 +50,11 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         """Block until *seconds* have passed on this clock.
 
-        Retry backoff (:class:`repro.robustness.resilience.RetryPolicy`)
-        waits through this method rather than :func:`time.sleep`, so a
-        test under a :class:`ManualClock` advances instantly and never
-        sleeps for real.
+        The service client's pushback backoff
+        (:class:`repro.service.client.RetryPolicy`) waits through this
+        method rather than :func:`time.sleep`, so a test under a
+        :class:`ManualClock` advances instantly and never sleeps for
+        real.
         """
         raise NotImplementedError
 
@@ -112,21 +113,6 @@ class ManualClock(Clock):
         """Sleeping on a manual clock just advances it -- instantly."""
         if seconds > 0:
             self.advance(seconds)
-
-    def fork(self) -> "ManualClock":
-        """A new manual clock starting at this clock's current reading.
-
-        Parallel batches give each question a private fork: virtual
-        time becomes *per question*, so one question's retry backoff
-        (which "sleeps" by advancing its clock) can never inflate a
-        phase measured concurrently by another question.  All engine
-        time consumers read differences, never absolute readings, so a
-        fork is behaviourally indistinguishable from the parent as long
-        as only its own question advances it -- which is exactly what
-        makes a ``workers=N`` manual-clock run byte-identical to the
-        sequential one.
-        """
-        return ManualClock(self.monotonic())
 
     def __repr__(self) -> str:
         return f"ManualClock(now={self._now:.6f})"

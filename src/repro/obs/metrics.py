@@ -13,14 +13,10 @@ instrumentation sites never need registration boilerplate::
     registry.counter("cache.hits").inc()
     registry.histogram("evaluator.rows_out").observe(len(output))
 
-Well-known names emitted by the resilience layer
-(:mod:`repro.robustness.resilience` / :mod:`repro.robustness.breaker`):
-``resilience.retries`` (+ per-site ``resilience.retries.<site>``)
-counts retry attempts consumed; ``resilience.fallbacks.baseline`` /
-``resilience.fallbacks.failed`` count degradation-ladder outcomes;
-``breaker.opens`` (+ per-site) counts circuit-breaker trips and the
-``breaker.state.<site>`` gauge holds the current state code
-(0 closed, 1 half-open, 2 open).
+Well-known names emitted by the Why-Not baseline rung of
+``NedExplain.explain_each(fallback_baseline=True)``:
+``resilience.fallbacks.baseline`` / ``resilience.fallbacks.failed``
+count the questions the baseline answered / could not answer either.
 """
 
 from __future__ import annotations

@@ -17,16 +17,11 @@ Lee et al. 2020).  This package provides the three pieces:
   :func:`fault_point` sites: deterministic, seedable fault injection
   used by the chaos test suite to prove failure containment.
 
-The resilience layer on top makes failures *recoverable*, not just
-contained:
+Each question is resolved in one attempt; when it fails,
+``NedExplain.explain_each(fallback_baseline=True)`` can still answer
+it with the Why-Not baseline before giving up.  Two more pieces make
+batches durable and concurrent:
 
-* :mod:`~repro.robustness.resilience` -- :class:`RetryPolicy`
-  (exponential backoff, deterministic jitter, clock-injected waits)
-  and the :class:`DegradationLadder` (full report -> partial report ->
-  Why-Not baseline answer -> structured failure);
-* :mod:`~repro.robustness.breaker` -- per-fault-site
-  :class:`CircuitBreaker`\\ s that stop retries from hammering a
-  persistently failing site;
 * :mod:`~repro.robustness.journal` -- :class:`BatchJournal`, the
   fsync-per-record write-ahead log that lets a killed batch resume
   where it died;
@@ -67,7 +62,6 @@ from .faults import (
     fault_scope,
     inject,
 )
-from .breaker import CircuitBreaker, CircuitBreakerBoard
 from .journal import BatchJournal, question_digest
 from .outcomes import (
     DEGRADATION_LEVELS,
@@ -75,7 +69,6 @@ from .outcomes import (
     QuestionOutcome,
     ReplayedOutcome,
 )
-from .resilience import DegradationLadder, RetryPolicy
 
 __all__ = [
     "BatchError",
@@ -85,11 +78,8 @@ __all__ = [
     "BudgetSpent",
     "CancellationToken",
     "CancelledError",
-    "CircuitBreaker",
-    "CircuitBreakerBoard",
     "ConfigurationError",
     "DEGRADATION_LEVELS",
-    "DegradationLadder",
     "ExecutionContext",
     "ALL_FAULT_SITES",
     "FAULT_KINDS",
@@ -105,7 +95,6 @@ __all__ = [
     "ParallelExecutor",
     "QuestionOutcome",
     "ReplayedOutcome",
-    "RetryPolicy",
     "active_plan",
     "current_context",
     "execution_context",

@@ -2,8 +2,8 @@
 
 The EDBT 2014 evaluation times *independent* why-not questions over one
 instance -- an embarrassingly parallel workload once the shared
-substrate (evaluation cache, metrics, breakers, fault counters, batch
-journal) is concurrency-safe.  :class:`ParallelExecutor` runs a batch
+substrate (evaluation cache, metrics, fault counters, batch journal)
+is concurrency-safe.  :class:`ParallelExecutor` runs a batch
 across ``workers`` threads while preserving every guarantee the
 sequential path has:
 
@@ -18,12 +18,10 @@ worker order via :meth:`~repro.obs.Tracer.absorb`, which merges metrics
 through the existing snapshot-merge semantics.
 
 **Determinism.**  Results are returned in submission order, one per
-item, always.  Under a :class:`~repro.obs.clock.ManualClock`, each item
-runs on a private :meth:`~repro.obs.clock.ManualClock.fork` of the
-batch clock, so one question's retry backoff (which advances virtual
-time) can never inflate a phase measured concurrently by another
-question -- this is what makes a ``workers=N`` manual-clock run
-byte-identical to the sequential run.
+item, always.  Nothing inside a question advances a
+:class:`~repro.obs.clock.ManualClock`, so every worker reads the same
+virtual time the sequential run would -- this is what makes a
+``workers=N`` manual-clock run byte-identical to the sequential run.
 
 **Backpressure and load shedding.**  Admitted items flow through a
 bounded queue (``queue_size``, default ``2 * workers``): submission
@@ -50,9 +48,9 @@ recomputes them properly.
 
 Locking order (documented contract; see docs/robustness.md):
 ``EvaluationCache`` -> ``FaultPlan`` -> ``MetricsRegistry``/
-instruments.  ``BatchJournal`` and ``CircuitBreaker``/board locks are
-leaves (no other engine lock is ever taken while holding them).  The
-executor's own results lock is also a leaf.
+instruments.  The ``BatchJournal`` lock is a leaf (no other engine
+lock is ever taken while holding it).  The executor's own results lock
+is also a leaf.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ import threading
 from typing import Any, Callable, Iterable
 
 from ..errors import ConfigurationError
-from ..obs.clock import ManualClock, current_clock, use_clock
+from ..obs.clock import current_clock
 from ..obs.trace import Tracer, current_tracer, tracing
 
 __all__ = ["CancellationToken", "ParallelExecutor"]
@@ -117,7 +115,7 @@ class ParallelExecutor:
     """Run a batch of items through a supervised worker pool.
 
     ``workers <= 1`` runs the identical admission policy inline on the
-    calling thread (no threads, no clock forks): the sequential path is
+    calling thread (no threads): the sequential path is
     the degenerate case of the parallel one, not a separate code path.
 
     Parameters
@@ -371,7 +369,6 @@ class ParallelExecutor:
         results, results_lock, errors,
     ) -> None:
         """Worker loop: dequeue, (maybe) resolve, record, store."""
-        clock = current_clock()
         while True:
             entry = work.get()
             if entry is _SENTINEL:
@@ -383,12 +380,7 @@ class ParallelExecutor:
                     # queued but not started when the drain began
                     result = on_cancelled(index, item, reason)
                 else:
-                    if isinstance(clock, ManualClock):
-                        # per-question virtual time (see module doc)
-                        with use_clock(clock.fork()):
-                            result = resolve(index, item)
-                    else:
-                        result = resolve(index, item)
+                    result = resolve(index, item)
                     if record is not None:
                         record(index, item, result)
                 with results_lock:

@@ -86,8 +86,7 @@ FAULT_KINDS: tuple[str, ...] = ("error", "budget")
 FAULT_SCOPES: tuple[str, ...] = ("global", "question")
 
 #: The ambient per-question counter key (installed by
-#: ``NedExplain._resolve_outcome`` for the span of one question,
-#: across all of its retry attempts).
+#: ``NedExplain._resolve_outcome`` for the span of one question).
 _SCOPE: ContextVar[str | None] = ContextVar(
     "repro_fault_scope", default=None
 )
@@ -241,10 +240,9 @@ class FaultPlan:
     def snapshot(self) -> dict[str, int]:
         """A frozen copy of the per-site call counts.
 
-        Take one before an attempt and diff with :meth:`delta` after it
-        to assert exactly which sites (and how many calls) that attempt
-        consumed -- the retry chaos tests pin down which attempt a
-        retried fault burned this way.
+        Take one before a run and diff with :meth:`delta` after it to
+        assert exactly which sites (and how many calls) that run
+        consumed.
         """
         with self._lock:
             return dict(self.calls)

@@ -8,14 +8,13 @@ resolves to either a report or a structured :class:`FailureInfo`
 (error class, phase, budget spent), in question order, always N
 outcomes for N questions.
 
-The resilience layer (PR 4) extends each outcome with *how* it was
-reached: ``attempts`` counts the retry attempts consumed, and
+Each outcome also records *how* it was reached:
 ``degradation_level`` names the rung of the degradation ladder that
 resolved the question -- ``"full"`` (a complete report),
-``"partial"`` (a budget-degraded report), ``"baseline"`` (the Why-Not
-baseline answered after NedExplain's retries were exhausted; the
-answer lives in ``outcome.baseline``, the triggering error in
-``outcome.failure``), or ``"failed"`` (nothing produced an answer).
+``"partial"`` (a budget-degraded report), ``"baseline"`` (NedExplain
+failed and the Why-Not baseline answered; the answer lives in
+``outcome.baseline``, the triggering error in ``outcome.failure``),
+or ``"failed"`` (nothing produced an answer).
 
 The parallel executor (PR 5) adds two explicit admission-side levels:
 ``"shed"`` (the question was refused by the load-shedding quota and
@@ -63,8 +62,6 @@ class FailureInfo:
     phase: str | None = None
     #: budget charged to the question before it failed, if tracked
     spent: BudgetSpent | None = None
-    #: attempts consumed before the question was given up on
-    attempts: int = 1
 
     @classmethod
     def from_error(
@@ -72,7 +69,6 @@ class FailureInfo:
         error: BaseException,
         phase: str | None = None,
         spent: BudgetSpent | None = None,
-        attempts: int = 1,
     ) -> "FailureInfo":
         return cls(
             error_class=type(error).__name__,
@@ -83,7 +79,6 @@ class FailureInfo:
             spent=spent if spent is not None else getattr(
                 error, "spent", None
             ),
-            attempts=attempts,
         )
 
     def to_dict(self) -> dict:
@@ -95,7 +90,6 @@ class FailureInfo:
             "spent": self.spent.to_dict()
             if self.spent is not None
             else None,
-            "attempts": self.attempts,
         }
 
     def describe(self) -> str:
@@ -108,8 +102,6 @@ class FailureInfo:
                 f"comparisons={self.spent.comparisons} "
                 f"elapsed={self.spent.elapsed_s:.3f}s"
             )
-        if self.attempts > 1:
-            parts.append(f"attempts={self.attempts}")
         return " | ".join(parts)
 
 
@@ -125,8 +117,6 @@ class QuestionOutcome:
     failure: FailureInfo | None = None
     #: the original exception, for callers that want to re-raise
     error: ReproError | None = None
-    #: total attempts consumed (1 = first try, no retry)
-    attempts: int = 1
     #: the ladder rung that resolved the question (see
     #: :data:`DEGRADATION_LEVELS`); derived when left at the default
     degradation_level: str = "full"
@@ -184,7 +174,6 @@ class QuestionOutcome:
             "failure": self.failure.to_dict()
             if self.failure is not None
             else None,
-            "attempts": self.attempts,
             "degradation_level": self.degradation_level,
             "baseline": self.baseline.to_dict()
             if self.baseline is not None
@@ -206,17 +195,16 @@ class QuestionOutcome:
             if self.degradation_level != "full"
             else ""
         )
-        tries = f", attempts={self.attempts}" if self.attempts > 1 else ""
         if self.ok:
             flag = " (partial)" if self.partial else ""
             return (
-                f"QuestionOutcome(ok{flag}{level}{tries}, "
+                f"QuestionOutcome(ok{flag}{level}, "
                 f"{self.question!r})"
             )
         assert self.failure is not None
         return (
             f"QuestionOutcome(failed {self.failure.error_class}"
-            f"{level}{tries}, {self.question!r})"
+            f"{level}, {self.question!r})"
         )
 
 
@@ -249,10 +237,6 @@ class ReplayedOutcome:
     @property
     def partial(self) -> bool:
         return self.degradation_level == "partial"
-
-    @property
-    def attempts(self) -> int:
-        return int(self.record.get("attempts", 1))
 
     @property
     def degradation_level(self) -> str:

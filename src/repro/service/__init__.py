@@ -1,8 +1,8 @@
 """Why-not-as-a-service: the fault-tolerant HTTP facade.
 
-The service layer turns the library's robustness machinery -- retries,
-circuit breakers, budgets, load shedding, the crash-safe batch journal
--- into a long-lived process with an HTTP/JSON API:
+The service layer turns the library's robustness machinery -- budgets,
+load shedding, the crash-safe batch journal -- into a long-lived
+process with an HTTP/JSON API:
 
 * :mod:`repro.service.state` -- the application core (socket-free,
   fully unit-testable): database registry, engine cache, admission

@@ -11,32 +11,96 @@ failures (connection refused, reset) do raise ``OSError`` and friends;
 :meth:`ServiceClient.wait_ready` wraps the retry loop callers need at
 startup.
 
-A client built with a :class:`~repro.robustness.RetryPolicy` also
-retries *pushback* responses -- 429 (quota / shedding) and 503
-(draining / breaker-open) -- waiting the larger of the server's
-``Retry-After`` and the policy's backoff between attempts.  The wait
-runs on the ambient clock (:func:`repro.obs.clock.current_clock`), so
-tests drive it with a :class:`~repro.obs.clock.ManualClock` and never
-sleep for real.  Other statuses are returned immediately: only
-pushback is a promise that retrying can help.
+A client built with a :class:`RetryPolicy` also retries *pushback*
+responses -- 429 (quota / shedding) and 503 (draining) -- waiting the
+larger of the server's ``Retry-After`` and the policy's backoff between
+attempts.  The wait runs on the ambient clock
+(:func:`repro.obs.clock.current_clock`), so tests drive it with a
+:class:`~repro.obs.clock.ManualClock` and never sleep for real.  Other
+statuses are returned immediately: only pushback is a promise that
+retrying can help.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..errors import ConfigurationError
 from ..obs.clock import current_clock
-from ..robustness import RetryPolicy
 
-__all__ = ["RETRY_STATUSES", "ServiceClient", "ServiceResponse"]
+__all__ = [
+    "RETRY_STATUSES",
+    "RetryPolicy",
+    "ServiceClient",
+    "ServiceResponse",
+]
 
 #: response statuses the retry policy treats as server pushback
 RETRY_STATUSES = (429, 503)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How often, and how patiently, a pushed-back request is re-sent.
+
+    ``max_attempts`` counts *total* attempts (1 = no retry).  The delay
+    before retry *k* (0-based) is::
+
+        min(backoff_ms * multiplier**k, max_backoff_ms) * jitter_factor
+
+    where ``jitter_factor`` is drawn deterministically from
+    ``(seed, key, k)`` in ``[1 - jitter, 1 + jitter]`` -- spreading a
+    thundering herd without sacrificing reproducibility.
+    """
+
+    max_attempts: int = 3
+    #: base delay before the first retry, in milliseconds
+    backoff_ms: float = 100.0
+    multiplier: float = 2.0
+    max_backoff_ms: float = 30_000.0
+    #: +- fraction of deterministic jitter applied to each delay
+    jitter: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigurationError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+        if self.backoff_ms < 0 or self.max_backoff_ms < 0:
+            raise ConfigurationError(
+                "backoff_ms and max_backoff_ms must be >= 0, got "
+                f"{self.backoff_ms!r} / {self.max_backoff_ms!r}"
+            )
+        if self.multiplier < 1.0:
+            raise ConfigurationError(
+                f"multiplier must be >= 1, got {self.multiplier!r}"
+            )
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ConfigurationError(
+                f"jitter must be in [0, 1], got {self.jitter!r}"
+            )
+
+    def delay_s(self, retry_index: int, key: str = "") -> float:
+        """Seconds to wait before retry *retry_index* (0-based)."""
+        if retry_index < 0:
+            raise ConfigurationError(
+                f"retry_index must be >= 0, got {retry_index}"
+            )
+        delay_ms = min(
+            self.backoff_ms * self.multiplier ** retry_index,
+            self.max_backoff_ms,
+        )
+        if self.jitter and delay_ms > 0:
+            rng = random.Random(f"{self.seed}:{key}:{retry_index}")
+            delay_ms *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        return delay_ms / 1000.0
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ organizing principle, layered in this order on every work request:
 Routes::
 
     GET  /healthz              liveness (200 while the process runs)
-    GET  /readyz               readiness (503 while starting/draining
-                               or while any circuit breaker is open)
+    GET  /readyz               readiness (503 while starting or
+                               draining)
     GET  /metrics              MetricsRegistry snapshot (JSON, or
                                Prometheus text with ?format=prometheus)
     GET  /v1/databases         the registered databases

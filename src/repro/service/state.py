@@ -11,9 +11,8 @@ decision lives here so it can be unit-tested without a socket:
   + ``Retry-After``), never queued unboundedly;
 * :class:`ServiceState` -- the registries (databases, warm engines,
   per-database evaluation caches), the shared
-  :class:`~repro.obs.MetricsRegistry` behind ``/metrics``, the
-  long-lived :class:`~repro.robustness.breaker.CircuitBreakerBoard`,
-  the drain token wired to SIGTERM, and the crash-safe request journal.
+  :class:`~repro.obs.MetricsRegistry` behind ``/metrics``, the drain
+  token wired to SIGTERM, and the crash-safe request journal.
 
 **Crash-safe request journaling.**  Every ``/v1/explain_batch`` request
 is made durable *before* any work starts: a ``<id>.request.json``
@@ -56,11 +55,7 @@ from ..relational import EvaluationCache
 from ..relational.csv_io import load_database
 from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
-from ..robustness import (
-    Budget,
-    CancellationToken,
-    CircuitBreakerBoard,
-)
+from ..robustness import Budget, CancellationToken
 from ..storage import StorageBackend, open_backend
 from .quota import QuotaRegistry, QuotaSpec
 
@@ -257,7 +252,6 @@ class ServiceState:
         #: system clock -- breaking byte-identical kill/resume runs
         self.clock = current_clock()
         self.metrics = MetricsRegistry()
-        self.breakers = CircuitBreakerBoard()
         quota = config.quota
         if (
             quota is None
@@ -623,7 +617,6 @@ class ServiceState:
             outcomes = engine.explain_each(
                 questions,
                 budget=budget,
-                breakers=self.breakers,
                 journal=journal,
                 workers=workers,
                 shed_after=manifest.get("shed_after"),
@@ -787,21 +780,15 @@ class ServiceState:
         }
 
     def ready_document(self) -> tuple[bool, dict]:
-        open_sites = self.breakers.open_sites()
-        ready = (
-            self.ready.is_set() and not self.draining and not open_sites
-        )
+        ready = self.ready.is_set() and not self.draining
         status = "ready"
         if not self.ready.is_set():
             status = "starting"
         elif self.draining:
             status = "draining"
-        elif open_sites:
-            status = "breaker-open"
         document = {
             "status": status,
             "draining": self.draining,
-            "open_breakers": open_sites,
             "storage": (
                 self.backend.describe()
                 if self.backend is not None
@@ -820,7 +807,7 @@ class ServiceState:
         return ready, document
 
     def metrics_document(self) -> dict:
-        """The /metrics payload: service counters + cache/breaker state."""
+        """The /metrics payload: service counters + cache state."""
         self.metrics.gauge("service.active_requests").set(
             float(self.gate.active)
         )
@@ -838,7 +825,6 @@ class ServiceState:
         snapshot = self.metrics.snapshot()
         return {
             "metrics": snapshot,
-            "breakers": self.breakers.states(),
             "draining": self.draining,
         }
 

@@ -30,18 +30,10 @@ from repro.errors import ReproError, SchemaError
 from repro.obs import ManualClock, use_clock
 from repro.relational import EvaluationCache
 from repro.relational.csv_io import load_database, save_database
-from repro.robustness import (
-    CircuitBreakerBoard,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    inject,
-)
+from repro.robustness import FaultPlan, FaultSpec, inject
 from repro.workloads.generator import chain_database, chain_query
 
 SEEDS = range(220)
-#: Seeds for the retry-path sweep: cache faults under a retry policy.
-RETRY_SEEDS = range(120)
 QUESTIONS = ["(R0.label: needle)", "(R0.label: r0v1)", "(R2.label: r2v3)"]
 
 
@@ -184,88 +176,6 @@ def test_csv_row_budget_fault_contained(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Retry-path sweep: cache faults re-attempted under a RetryPolicy
-# ---------------------------------------------------------------------------
-def _run_with_retry(plan):
-    cache = EvaluationCache()
-    engine = NedExplain(_CANONICAL, database=_DB, cache=cache)
-    retry = RetryPolicy(max_attempts=3, backoff_ms=1.0)
-    with use_clock(ManualClock()), inject(plan):
-        outcomes = engine.explain_each(QUESTIONS, retry=retry)
-    return outcomes, cache
-
-
-@pytest.mark.parametrize("seed", RETRY_SEEDS)
-def test_retried_cache_fault_contract(seed):
-    """Cache-site faults under retries: the cache invariants hold after
-    every retried ``cache.lookup``/``cache.store`` fault, and any
-    question a retry rescued is fingerprint-identical to fault-free."""
-    plan = FaultPlan.random(
-        seed,
-        sites=("cache.lookup", "cache.store"),
-        faults=1 + seed % 2,
-        max_call=6,
-        budget_rate=0.0,  # hard errors only: the retryable kind
-    )
-    outcomes, cache = _run_with_retry(plan)
-
-    # totality, with or without retries
-    assert len(outcomes) == len(QUESTIONS)
-    # a retried cache fault must never leave a partial/corrupt entry
-    cache.check_invariants()
-    assert _DB.data_key == _DATA_KEY
-
-    for index, outcome in enumerate(outcomes):
-        if outcome.ok and not outcome.partial:
-            assert _fingerprint(outcome.report) == _ORACLE_PRINTS[index]
-            if outcome.attempts > 1:
-                # a retry rescued this question: the fault really fired
-                assert plan.fired
-        elif not outcome.ok:
-            # only exhausted retries may fail, and the failure says so
-            assert outcome.failure.attempts == outcome.attempts
-
-
-def test_retry_sweep_actually_retries():
-    """The sweep must exercise the retry path, not just pass through:
-    across the seed range, plenty of questions need >1 attempt."""
-    rescued = 0
-    for seed in RETRY_SEEDS:
-        plan = FaultPlan.random(
-            seed,
-            sites=("cache.lookup", "cache.store"),
-            faults=1 + seed % 2,
-            max_call=6,
-            budget_rate=0.0,
-        )
-        outcomes, _ = _run_with_retry(plan)
-        rescued += sum(
-            1 for o in outcomes if o.ok and o.attempts > 1
-        )
-    assert rescued >= len(list(RETRY_SEEDS)) // 4
-
-
-def test_retried_run_is_deterministic():
-    """Same seed, same retry policy -> identical outcome shapes and
-    identical fault firings (the jitter is seeded, the clock manual)."""
-    for seed in (5, 42, 97):
-        plan_a = FaultPlan.random(
-            seed, sites=("cache.lookup", "cache.store"), faults=2,
-            max_call=6, budget_rate=0.0,
-        )
-        plan_b = FaultPlan.random(
-            seed, sites=("cache.lookup", "cache.store"), faults=2,
-            max_call=6, budget_rate=0.0,
-        )
-        first, _ = _run_with_retry(plan_a)
-        second, _ = _run_with_retry(plan_b)
-        assert [_outcome_shape(o) for o in first] == [
-            _outcome_shape(o) for o in second
-        ]
-        assert plan_a.fired == plan_b.fired
-
-
-# ---------------------------------------------------------------------------
 # Parallel chaos: the same contract under the supervised executor
 # ---------------------------------------------------------------------------
 #: Seeds for the workers=4 contract sweep over ALL fault sites.
@@ -323,14 +233,11 @@ def _outcome_bytes(outcomes) -> str:
 
 
 def _run_scoped_differential(seed: int, workers: int):
-    """One retried, fault-injected batch on a manual clock.
+    """One fault-injected batch on a manual clock.
 
-    Question-scoped fault counting plus per-question clock forks make
-    the run a pure function of (seed, questions) -- the worker count
-    must not show up in the output at all.  The breaker board is
-    explicit and lenient: shared breaker state trips in completion
-    order, which is the one piece of state that *is* allowed to differ
-    across schedules, so the differential keeps it out of the loop.
+    Question-scoped fault counting makes the run a pure function of
+    (seed, questions) -- the worker count must not show up in the
+    output at all.
     """
     plan = FaultPlan.random(
         seed,
@@ -342,12 +249,8 @@ def _run_scoped_differential(seed: int, workers: int):
     )
     cache = EvaluationCache()
     engine = NedExplain(_CANONICAL, database=_DB, cache=cache)
-    retry = RetryPolicy(max_attempts=3, backoff_ms=1.0)
-    breakers = CircuitBreakerBoard(window=1024, min_calls=1024)
     with use_clock(ManualClock()), inject(plan):
-        outcomes = engine.explain_each(
-            QUESTIONS, retry=retry, breakers=breakers, workers=workers
-        )
+        outcomes = engine.explain_each(QUESTIONS, workers=workers)
     return outcomes, plan
 
 
@@ -362,7 +265,7 @@ def test_parallel_plain_run_is_byte_identical():
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_parallel_fault_run_is_byte_identical(seed):
-    """Retries + question-scoped faults: workers=4 output is
+    """Question-scoped faults: workers=4 output is
     byte-for-byte the sequential output, and the per-site fault deltas
     agree exactly (satellite: atomic per-site counters)."""
     sequential, seq_plan = _run_scoped_differential(seed, workers=1)

@@ -331,24 +331,16 @@ class TestContextPropagation:
             name.startswith("repro-executor-") for _, name in seen
         )
 
-    def test_manual_clock_forks_isolate_virtual_time(self):
-        clock = ManualClock()
+    def test_workers_read_the_batch_manual_clock(self):
+        clock = ManualClock(start=42.0)
         with use_clock(clock):
-            def resolve(index, item):
-                worker_clock = current_clock()
-                assert worker_clock is not clock  # a private fork
-                worker_clock.advance(100.0 + index)
-                return worker_clock.monotonic()
-
-            readings = ParallelExecutor(workers=4).run(
-                list(range(6)), resolve, on_cancelled=_cancelled
+            seen = ParallelExecutor(workers=4).run(
+                list(range(6)),
+                lambda i, x: current_clock(),
+                on_cancelled=_cancelled,
             )
-            # each fork advanced independently of the others ...
-            assert [r - clock.monotonic() for r in readings] == [
-                100.0 + i for i in range(6)
-            ]
-        # ... and nobody moved the batch clock
-        assert clock.monotonic() == 0.0
+        # no per-question fork: every worker reads the one batch clock
+        assert all(worker_clock is clock for worker_clock in seen)
 
     def test_worker_tracers_fold_back_into_the_parent(self):
         def resolve(index, item):
@@ -379,7 +371,6 @@ class TestEngineIntegration:
             assert not outcome.ok
             assert isinstance(outcome.error, LoadShedError)
             assert outcome.failure.error_class == "LoadShedError"
-            assert outcome.failure.attempts == 0
 
         token.cancel("test drain")
         cancelled = engine.explain_each(

@@ -355,7 +355,7 @@ class TestCliObservability:
 
 
 class TestCliResilience:
-    """--retries / --fallback-baseline / --journal and exit code 4."""
+    """--fallback-baseline / --journal and exit code 4."""
 
     def _base_args(self, tmp_path):
         return [
@@ -387,15 +387,14 @@ class TestCliResilience:
         ok, failed = document["outcomes"]
         expected_keys = {
             "question", "ok", "report", "failure",
-            "attempts", "degradation_level", "baseline",
+            "degradation_level", "baseline",
         }
         assert set(ok) == expected_keys
         assert set(failed) == expected_keys
-        assert ok["attempts"] == 1
         assert ok["degradation_level"] == "full"
         assert failed["degradation_level"] == "failed"
         assert set(failed["failure"]) == {
-            "error_class", "message", "phase", "spent", "attempts",
+            "error_class", "message", "phase", "spent",
         }
         # report keys (the pre-resilience ones must all survive)
         assert set(ok["report"]) == {
@@ -403,7 +402,7 @@ class TestCliResilience:
             "partial", "degraded_reason", "degradation_level",
         }
 
-    def test_retries_exhausted_without_fallback_exits_4(
+    def test_question_the_baseline_also_rejects_exits_4(
         self, running_example_db, tmp_path, capsys
     ):
         import json
@@ -411,14 +410,14 @@ class TestCliResilience:
         save_database(running_example_db, tmp_path / "db")
         code = main(
             self._base_args(tmp_path)
-            + ["--why-not", "(A.nope: broken)", "--retries", "2"]
+            + ["--why-not", "(A.nope: broken)", "--fallback-baseline"]
         )
         assert code == 4
         document = json.loads(capsys.readouterr().out)
         assert document["exit_code"] == 4
         assert document["outcomes"][0]["degradation_level"] == "failed"
 
-    def test_single_question_with_retries_uses_batch_path(
+    def test_single_question_with_fallback_uses_batch_path(
         self, running_example_db, tmp_path, capsys
     ):
         import json
@@ -426,12 +425,13 @@ class TestCliResilience:
         save_database(running_example_db, tmp_path / "db")
         code = main(
             self._base_args(tmp_path)
-            + ["--why-not", "(A.name: Homer)", "--retries", "3"]
+            + ["--why-not", "(A.name: Homer)", "--fallback-baseline"]
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         (outcome,) = document["outcomes"]
-        assert outcome["ok"] and outcome["attempts"] == 1
+        assert outcome["ok"]
+        assert outcome["degradation_level"] == "full"
 
     def test_journal_round_trip_over_cli(
         self, running_example_db, tmp_path, capsys
@@ -557,7 +557,7 @@ class TestCliErrorEnvelope:
         save_database(running_example_db, tmp_path / "db")
         code = main(
             self._base_args(tmp_path)
-            + ["--why-not", "(A.nope: broken)", "--retries", "2"]
+            + ["--why-not", "(A.nope: broken)", "--fallback-baseline"]
         )
         assert code == 4
         self._assert_envelope(

@@ -63,7 +63,6 @@ def _outcome_dict(question="(q: 1)", ok=True):
         "ok": ok,
         "report": {"answers": []},
         "failure": None,
-        "attempts": 1,
         "degradation_level": "full",
         "baseline": None,
     }

@@ -1,43 +1,26 @@
-"""Resilience layer: retry policy, circuit breakers, degradation ladder.
+"""Degradation ladder, fault-plan reuse, and the client's backoff policy.
 
-The acceptance contract of the resilient ``explain_each``:
+The acceptance contract of ``explain_each``:
 
-* a *transient* fault (fires once) plus ``RetryPolicy(max_attempts=2)``
-  yields an outcome identical to the fault-free run -- the retry makes
-  the fault invisible except for ``outcome.attempts``;
-* a *persistent* fault opens the site's circuit breaker (stopping the
-  retry hammering early) and, with the baseline fallback enabled, the
-  question still gets a valid Why-Not answer with
-  ``degradation_level == "baseline"``;
-* all backoff waiting happens on the ambient clock: under a
-  :class:`~repro.obs.ManualClock` no test ever sleeps for real.
+* each question is resolved in exactly one attempt -- a fault that
+  fires fails the question (NedExplain is deterministic, so running it
+  again could only burn the same work);
+* with the baseline fallback enabled, a failed question still gets a
+  valid Why-Not answer with ``degradation_level == "baseline"``;
+* the service client's pushback backoff (:class:`RetryPolicy`) is
+  deterministic and bounded.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core import NedExplain, canonicalize
-from repro.errors import (
-    ConfigurationError,
-    InjectedFaultError,
-    ReproError,
-    WhyNotQuestionError,
-)
+from repro.errors import ConfigurationError, InjectedFaultError
 from repro.obs import ManualClock, Tracer, tracing, use_clock
 from repro.relational import EvaluationCache
-from repro.robustness import (
-    CircuitBreaker,
-    CircuitBreakerBoard,
-    DegradationLadder,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    inject,
-)
-from repro.robustness.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.robustness import FaultPlan, FaultSpec, inject
+from repro.service.client import RetryPolicy
 from repro.workloads.generator import chain_database, chain_query
 
 
@@ -47,31 +30,9 @@ def _setup():
     return db, canonical
 
 
-def _fingerprint(report):
-    return (
-        tuple(
-            (
-                repr(a.ctuple),
-                a.detailed_pairs,
-                a.condensed_labels,
-                a.secondary_labels,
-                a.no_compatible_data,
-                a.answer_not_missing,
-            )
-            for a in report.answers
-        ),
-        report.summary(),
-    )
-
-
 QUESTION = "(R0.label: needle)"
 
 _DB, _CANONICAL = _setup()
-_ORACLE = (
-    NedExplain(_CANONICAL, database=_DB, cache=EvaluationCache())
-    .explain_each([QUESTION])[0]
-)
-_ORACLE_PRINT = _fingerprint(_ORACLE.report)
 
 
 def _engine():
@@ -79,7 +40,7 @@ def _engine():
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy units
+# RetryPolicy units (the service client's pushback backoff)
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_defaults_are_valid(self):
@@ -100,21 +61,6 @@ class TestRetryPolicy:
     def test_invalid_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RetryPolicy(**kwargs)
-
-    def test_injected_faults_are_retryable(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(InjectedFaultError("boom", site="s"))
-
-    def test_retryable_attribute_honoured(self):
-        policy = RetryPolicy()
-        error = ReproError("flaky io")
-        assert not policy.is_retryable(error)
-        error.retryable = True
-        assert policy.is_retryable(error)
-
-    def test_deterministic_errors_not_retryable(self):
-        policy = RetryPolicy()
-        assert not policy.is_retryable(WhyNotQuestionError("bad question"))
 
     def test_delay_is_deterministic(self):
         policy = RetryPolicy(seed=7)
@@ -144,124 +90,6 @@ class TestRetryPolicy:
     def test_negative_retry_index_rejected(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay_s(-1)
-
-    def test_wait_advances_manual_clock_without_sleeping(self):
-        policy = RetryPolicy(
-            backoff_ms=60_000.0, max_backoff_ms=60_000.0, jitter=0.0
-        )
-        clock = ManualClock()
-        started = time.perf_counter()
-        with use_clock(clock):
-            waited = policy.wait(0, key="q")
-        assert waited == pytest.approx(60.0)
-        assert clock.monotonic() == pytest.approx(60.0)
-        # a minute of backoff must cost (essentially) no real time
-        assert time.perf_counter() - started < 5.0
-
-
-# ---------------------------------------------------------------------------
-# CircuitBreaker state machine
-# ---------------------------------------------------------------------------
-class TestCircuitBreaker:
-    def _breaker(self, clock, **kwargs):
-        defaults = dict(
-            window=8, failure_threshold=0.5, min_calls=4, cooldown_s=30.0
-        )
-        defaults.update(kwargs)
-        return CircuitBreaker("site", clock=clock, **defaults)
-
-    def test_stays_closed_below_min_calls(self):
-        breaker = self._breaker(ManualClock())
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_opens_at_failure_threshold(self):
-        breaker = self._breaker(ManualClock())
-        for _ in range(4):
-            breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.opens == 1
-        assert not breaker.allow()
-
-    def test_mixed_results_below_threshold_stay_closed(self):
-        breaker = self._breaker(ManualClock())
-        for _ in range(6):
-            breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # 2/8 < 0.5
-
-    def test_cooldown_admits_half_open_probe(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(31.0)
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-
-    def test_probe_success_closes_and_forgets(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(31.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.failure_rate == 0.0  # window cleared
-
-    def test_probe_failure_reopens(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(31.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.opens == 2
-        # the new cooldown starts from the re-open
-        assert not breaker.allow()
-        clock.advance(31.0)
-        assert breaker.allow()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"window": 0},
-            {"failure_threshold": 0.0},
-            {"failure_threshold": 1.5},
-            {"min_calls": 0},
-            {"min_calls": 99},
-            {"cooldown_s": -1.0},
-        ],
-    )
-    def test_invalid_configuration_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            self._breaker(ManualClock(), **kwargs)
-
-    def test_trip_and_state_metrics(self):
-        tracer = Tracer()
-        with tracing(tracer):
-            breaker = self._breaker(ManualClock())
-            for _ in range(4):
-                breaker.record_failure()
-        snapshot = tracer.metrics.snapshot()
-        assert snapshot["breaker.opens"]["value"] == 1
-        assert snapshot["breaker.opens.site"]["value"] == 1
-        assert snapshot["breaker.state.site"]["value"] == 2  # open
-
-    def test_board_creates_one_breaker_per_site(self):
-        board = CircuitBreakerBoard(clock=ManualClock())
-        assert board.breaker("a") is board.breaker("a")
-        board.record_failure("a")
-        board.record_success("b")
-        assert len(board) == 2
-        assert board.states() == {"a": "closed", "b": "closed"}
 
 
 # ---------------------------------------------------------------------------
@@ -301,91 +129,29 @@ class TestFaultPlanReuse:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: transient fault + retry == fault-free run
+# Acceptance: a failed question falls to the Why-Not baseline
 # ---------------------------------------------------------------------------
-class TestRetriedExplain:
-    def test_transient_fault_retried_to_identical_report(self):
-        plan = FaultPlan([FaultSpec("compatible.find", at_call=0)])
-        clock = ManualClock()
-        with use_clock(clock), inject(plan):
-            (outcome,) = _engine().explain_each(
-                [QUESTION], retry=RetryPolicy(max_attempts=2)
-            )
-        assert plan.fired, "the fault must actually fire"
-        assert outcome.ok
-        assert outcome.attempts == 2
-        assert outcome.degradation_level == "full"
-        assert _fingerprint(outcome.report) == _ORACLE_PRINT
-        assert clock.monotonic() > 0.0  # the backoff ran on the clock
-
-    def test_without_retry_the_same_fault_fails(self):
-        plan = FaultPlan([FaultSpec("compatible.find", at_call=0)])
-        with inject(plan):
-            (outcome,) = _engine().explain_each([QUESTION])
-        assert not outcome.ok
-        assert outcome.attempts == 1
-        assert outcome.degradation_level == "failed"
-        assert outcome.failure.error_class == "InjectedFaultError"
-
-    def test_non_retryable_error_is_not_retried(self):
-        with use_clock(ManualClock()):
-            (outcome,) = _engine().explain_each(
-                ["(R0.nope: x)"], retry=RetryPolicy(max_attempts=5)
-            )
-        assert not outcome.ok
-        assert outcome.attempts == 1  # malformed question: no retry
-
-    def test_retries_surface_in_metrics(self):
-        plan = FaultPlan([FaultSpec("cache.lookup", at_call=0)])
-        tracer = Tracer()
-        with tracing(tracer), use_clock(ManualClock()), inject(plan):
-            (outcome,) = _engine().explain_each(
-                [QUESTION], retry=RetryPolicy(max_attempts=3)
-            )
-        assert outcome.ok and outcome.attempts == 2
-        snapshot = tracer.metrics.snapshot()
-        assert snapshot["resilience.retries"]["value"] == 1
-        assert snapshot["resilience.retries.cache.lookup"]["value"] == 1
-
-    def test_config_retry_is_the_default_policy(self):
-        from repro.core import NedExplainConfig
-
-        plan = FaultPlan([FaultSpec("compatible.find", at_call=0)])
-        engine = NedExplain(
-            _CANONICAL,
-            database=_DB,
-            cache=EvaluationCache(),
-            config=NedExplainConfig(retry=RetryPolicy(max_attempts=2)),
-        )
-        with use_clock(ManualClock()), inject(plan):
-            (outcome,) = engine.explain_each([QUESTION])
-        assert outcome.ok and outcome.attempts == 2
-
-
-# ---------------------------------------------------------------------------
-# Acceptance: persistent fault -> breaker opens -> baseline fallback
-# ---------------------------------------------------------------------------
-class TestDegradationLadder:
+class TestBaselineFallback:
     def _persistent_plan(self, site="compatible.find", calls=64):
         return FaultPlan(
             [FaultSpec(site, at_call=i) for i in range(calls)]
         )
 
-    def test_persistent_fault_opens_breaker_and_falls_to_baseline(self):
-        clock = ManualClock()
-        board = CircuitBreakerBoard(clock=clock)
-        with use_clock(clock), inject(self._persistent_plan()):
+    def test_without_fallback_a_fault_fails_the_question(self):
+        plan = self._persistent_plan()
+        with inject(plan):
+            (outcome,) = _engine().explain_each([QUESTION])
+        assert not outcome.ok
+        assert outcome.degradation_level == "failed"
+        assert outcome.failure.error_class == "InjectedFaultError"
+        # one attempt only: the failing site was reached exactly once
+        assert plan.calls["compatible.find"] == 1
+
+    def test_failed_question_falls_to_baseline(self):
+        with use_clock(ManualClock()), inject(self._persistent_plan()):
             (outcome,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=8),
-                breakers=board,
-                fallback_baseline=True,
+                [QUESTION], fallback_baseline=True
             )
-        # the breaker opened at min_calls=4 consecutive failures,
-        # cutting the 8-attempt budget short
-        assert board.states()["compatible.find"] == "open"
-        assert outcome.attempts == 4
-        # ... and the ladder still produced a valid baseline answer
         assert outcome.ok
         assert outcome.degradation_level == "baseline"
         assert outcome.baseline is not None
@@ -398,14 +164,11 @@ class TestDegradationLadder:
     def test_baseline_dodges_a_failing_cache_site(self):
         """The baseline rung runs uncached, so a persistently failing
         cache site cannot take the fallback down with it."""
-        clock = ManualClock()
-        with use_clock(clock), inject(
+        with use_clock(ManualClock()), inject(
             self._persistent_plan(site="cache.lookup")
         ):
             (outcome,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=3),
-                fallback_baseline=True,
+                [QUESTION], fallback_baseline=True
             )
         assert outcome.ok
         assert outcome.degradation_level == "baseline"
@@ -417,9 +180,7 @@ class TestDegradationLadder:
             self._persistent_plan()
         ):
             (outcome,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=2),
-                fallback_baseline=True,
+                [QUESTION], fallback_baseline=True
             )
         assert outcome.degradation_level == "baseline"
         snapshot = tracer.metrics.snapshot()
@@ -438,59 +199,29 @@ class TestDegradationLadder:
         with use_clock(ManualClock()), inject(plan):
             (outcome,) = engine.explain_each(
                 ["((A.name: Homer, ap: $x), $x > 25)"],
-                retry=RetryPolicy(max_attempts=2),
                 fallback_baseline=True,
             )
         assert not outcome.ok
         assert outcome.degradation_level == "failed"
         assert outcome.baseline is None
 
-    def test_ladder_for_engine_answers_directly(self):
-        ladder = DegradationLadder.for_engine(_engine())
-        report = ladder.baseline_answer(QUESTION)
+    def test_baseline_answer_directly(self):
+        report = _engine()._baseline_answer(QUESTION)
         assert report is not None
         assert report.answers
 
-    def test_breaker_recovery_closes_after_success(self):
-        """A transient burst opens the breaker; once the cooldown
-        passes, the half-open probe succeeds and closes it again."""
-        clock = ManualClock()
-        board = CircuitBreakerBoard(clock=clock, cooldown_s=5.0)
-        burst = FaultPlan(
-            [FaultSpec("compatible.find", at_call=i) for i in range(4)]
-        )
-        with use_clock(clock), inject(burst):
-            (first,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=8),
-                breakers=board,
-            )
-        assert not first.ok
-        assert board.states()["compatible.find"] == "open"
-        clock.advance(6.0)
-        # the fault burst is over: the next question probes and heals
-        with use_clock(clock):
-            (second,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=2),
-                breakers=board,
-            )
-        assert second.ok
-        assert _fingerprint(second.report) == _ORACLE_PRINT
-
 
 # ---------------------------------------------------------------------------
-# Outcome serialization carries the resilience fields
+# Outcome serialization carries the ladder fields
 # ---------------------------------------------------------------------------
 class TestOutcomeSerialization:
-    def test_retried_outcome_to_dict(self):
-        plan = FaultPlan([FaultSpec("compatible.find", at_call=0)])
-        with use_clock(ManualClock()), inject(plan):
-            (outcome,) = _engine().explain_each(
-                [QUESTION], retry=RetryPolicy(max_attempts=2)
-            )
+    def test_full_outcome_to_dict(self):
+        (outcome,) = _engine().explain_each([QUESTION])
         data = outcome.to_dict()
-        assert data["attempts"] == 2
+        assert set(data) == {
+            "question", "ok", "report", "failure",
+            "degradation_level", "baseline",
+        }
         assert data["degradation_level"] == "full"
         assert data["baseline"] is None
 
@@ -500,23 +231,13 @@ class TestOutcomeSerialization:
         )
         with use_clock(ManualClock()), inject(plan):
             (outcome,) = _engine().explain_each(
-                [QUESTION],
-                retry=RetryPolicy(max_attempts=2),
-                fallback_baseline=True,
+                [QUESTION], fallback_baseline=True
             )
         data = outcome.to_dict()
         assert data["ok"] is True
         assert data["report"] is None
         assert data["degradation_level"] == "baseline"
         assert data["baseline"]["answers"]
-        assert data["failure"]["attempts"] == 2
-
-    def test_failure_describe_mentions_attempts(self):
-        plan = FaultPlan(
-            [FaultSpec("compatible.find", at_call=i) for i in range(64)]
-        )
-        with use_clock(ManualClock()), inject(plan):
-            (outcome,) = _engine().explain_each(
-                [QUESTION], retry=RetryPolicy(max_attempts=3)
-            )
-        assert "attempts=3" in outcome.failure.describe()
+        assert set(data["failure"]) == {
+            "error_class", "message", "phase", "spent",
+        }

@@ -370,22 +370,26 @@ class TestServiceState:
         state.ready.set()
         ready, document = state.ready_document()
         assert ready and document["status"] == "ready"
-        assert set(document) == {
-            "status", "draining", "open_breakers", "storage",
-        }
-        # an open breaker flips readiness off (stop routing here)
-        breaker = state.breakers.breaker("evaluator.operator")
-        for _ in range(4):
-            breaker.record_failure()
-        ready, document = state.ready_document()
-        assert not ready and document["status"] == "breaker-open"
-        assert document["open_breakers"] == ["evaluator.operator"]
-        breaker._results.clear()
-        breaker._transition("closed")
+        assert set(document) == {"status", "draining", "storage"}
         assert state.begin_drain("test")
         assert not state.begin_drain("again")  # idempotent
         ready, document = state.ready_document()
         assert not ready and document["status"] == "draining"
+
+    def test_failed_questions_leave_readiness_alone(self):
+        """Malformed questions fail deterministically; they say nothing
+        about the service's health, so /readyz must stay ready."""
+        state = self._state()
+        state.register_database(REGISTER)
+        document, _ = state.explain_batch(
+            _batch_body(["(Person.nope: x)"] * 4)
+        )
+        assert [o["ok"] for o in document["outcomes"]] == [False] * 4
+        assert {o["degradation_level"] for o in document["outcomes"]} == {
+            "failed"
+        }
+        ready, readiness = state.ready_document()
+        assert ready and readiness["status"] == "ready"
 
     def test_invalid_request_id_rejected(self, tmp_path):
         state = self._state(tmp_path)
@@ -1027,8 +1031,7 @@ class _ScriptedClient(ServiceClient):
 
 class TestClientRetry:
     def test_retries_pushback_until_success(self):
-        from repro.robustness import RetryPolicy
-        from repro.service.client import ServiceResponse
+        from repro.service.client import RetryPolicy, ServiceResponse
 
         clock = ManualClock()
         client = _ScriptedClient(
@@ -1050,8 +1053,7 @@ class TestClientRetry:
         assert clock.monotonic() == pytest.approx(2.2)
 
     def test_retry_budget_is_bounded(self):
-        from repro.robustness import RetryPolicy
-        from repro.service.client import ServiceResponse
+        from repro.service.client import RetryPolicy, ServiceResponse
 
         client = _ScriptedClient(
             [ServiceResponse(status=429, retry_after_s=0.5)],
@@ -1063,8 +1065,7 @@ class TestClientRetry:
         assert client.sent == 3
 
     def test_non_pushback_statuses_return_immediately(self):
-        from repro.robustness import RetryPolicy
-        from repro.service.client import ServiceResponse
+        from repro.service.client import RetryPolicy, ServiceResponse
 
         client = _ScriptedClient(
             [ServiceResponse(status=404)],
