@@ -23,7 +23,7 @@ def test_preprocessing(benchmark, name):
     """Parse + unrename + find compatibles for one use case."""
     use_case, database, canonical = use_case_setup(name)
     instance = database.input_instance(canonical.aliases)
-    finder = CompatibleFinder(instance, database, canonical.aliases)
+    finder = CompatibleFinder(instance)
 
     def preprocess():
         predicate = parse_predicate(use_case.predicate)

@@ -34,7 +34,7 @@ import os
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -180,12 +180,13 @@ def compare_measurement(
     """Compare one measurement against its committed baseline.
 
     *calibration_ratio* is ``current_host_speed / baseline_host_speed``
-    expressed as a runtime multiplier: the committed median and MAD are
-    scaled by it before comparison, so a uniformly slower CI host does
-    not read as a regression (and a faster one does not mask a real
-    regression).  The whole comparison is scale-invariant: multiplying
-    every duration *and* the calibration by the same factor cannot
-    change the verdict.
+    expressed as a runtime multiplier: the committed median and MAD,
+    and the absolute floor (in baseline-host ms), are scaled by it
+    before comparison, so a uniformly slower CI host does not read as
+    a regression (and a faster one does not mask a real regression).
+    The whole comparison is scale-invariant: multiplying every
+    duration *and* the calibration by the same factor cannot change
+    the verdict.
     """
     if calibration_ratio <= 0:
         raise ConfigurationError(
@@ -199,7 +200,10 @@ def compare_measurement(
         adjusted_median,
         adjusted_mad,
         measurement.mad_ms,
-        thresholds,
+        replace(
+            thresholds,
+            abs_floor_ms=thresholds.abs_floor_ms * calibration_ratio,
+        ),
     )
     delta = measurement.median_ms - adjusted_median
     if mismatches:

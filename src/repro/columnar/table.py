@@ -85,19 +85,6 @@ class Dictionary:
         """The exact original value interned under *code*."""
         return self._values[code]
 
-    def codes_equal(self, value: Value) -> list[int]:
-        """Codes whose stored value compares ``==`` to *value*.
-
-        Plain Python equality, matching the row-side
-        ``tuple_matches_ctuple`` constant check (so ``5`` finds a
-        column value ``5.0`` and vice versa).
-        """
-        return [
-            code
-            for code, stored in enumerate(self._values)
-            if stored == value
-        ]
-
 
 class Bitmap:
     """A selection vector: an immutable bitset over row positions.
@@ -499,26 +486,6 @@ class ColumnarTable:
     @property
     def nrows(self) -> int:
         return self.batch.nrows
-
-    def rows_equal(self, attr: str, value: Value) -> list[int]:
-        """Row positions whose *attr* compares ``==`` to *value*.
-
-        Decided once per distinct value through the column dictionary
-        -- the columnar analogue of the stored database's indexed
-        ``SELECT ... WHERE attr = value`` candidate lookup that
-        :class:`~repro.core.compatibility.CompatibleFinder` issues.
-        """
-        col_codes, dictionary = self.batch.encoded(attr)
-        matching = set(dictionary.codes_equal(value))
-        if not matching:
-            return []
-        return [
-            row for row, code in enumerate(col_codes) if code in matching
-        ]
-
-    def source_tuple(self, row: int) -> Tuple:
-        assert self.batch.source is not None
-        return self.batch.source[row]
 
 
 #: LRU of columnar tables keyed by ``(instance.data_key, alias)``.

@@ -40,7 +40,6 @@ from .canonical import (
 from .compatibility import (
     CompatibilitySets,
     CompatibleFinder,
-    find_compatibles,
     tuple_matches_ctuple,
 )
 from .nedexplain import PHASES, NedExplain, NedExplainConfig, nedexplain
@@ -86,7 +85,6 @@ __all__ = [
     "canonical_from_tree",
     "canonicalize",
     "ctuple_with_condition",
-    "find_compatibles",
     "find_successors",
     "is_at_or_above_breakpoint",
     "is_picky_manipulation",

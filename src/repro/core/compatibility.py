@@ -16,24 +16,22 @@ this module computes
 are validated (Notation 2.1).
 
 The :class:`CompatibleFinder` mirrors the paper's implementation note:
-when a stored :class:`~repro.relational.database.Database` is available
-it retrieves candidate ids through indexed ``SELECT`` lookups (the
-``SELECT A.aid FROM A WHERE A.name = 'Homer'`` of Ex. 3.1) instead of
-scanning the instance.
+it retrieves candidates through hash-index lookups on ``I_Q`` itself
+(the ``SELECT A.aid FROM A WHERE A.name = 'Homer'`` of Ex. 3.1)
+instead of scanning the instance, whichever engine built ``I_Q``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..obs.trace import current_tracer
 from ..relational.conditions import Var, is_satisfiable
-from ..relational.database import Database
 from ..robustness.budget import current_context
 from ..robustness.faults import fault_point
 from ..relational.instance import DatabaseInstance
-from ..relational.tuples import Tuple, Value, alias_of, unqualified_name
+from ..relational.tuples import Tuple, Value, alias_of
 from .whynot_question import CTuple
 
 
@@ -52,8 +50,6 @@ class CompatibilitySets:
     dir_tids: frozenset[str]
     #: identifiers of every tuple of the indirect relations
     indir_tids: frozenset[str]
-    #: aliases actually constrained by tc (qualified attributes)
-    constrained_aliases: frozenset[str]
 
     @property
     def valid_tids(self) -> frozenset[str]:
@@ -101,36 +97,15 @@ def tuple_matches_ctuple(t: Tuple, tc: CTuple) -> bool:
 class CompatibleFinder:
     """Computes :class:`CompatibilitySets` over a query input instance.
 
-    Parameters
-    ----------
-    instance:
-        The query input instance ``I_Q`` (one relation per alias).
-    database, aliases:
-        Optional stored database plus the ``eta_Q`` alias mapping;
-        when given, constant constraints are served by indexed id
-        lookups on the stored tables (the paper's SELECT statements)
-        and only the candidates are checked against the full c-tuple.
-    use_columnar:
-        When the stored-database index path is unavailable, narrow
-        full scans through the memoized columnar value dictionaries
-        instead (``ColumnarTable.rows_equal``): candidate rows are the
-        intersection of the per-attribute equality row sets, in stored
-        row order.  Candidate *sets* are identical to a full scan, but
-        the comparison-budget ticks (sized by the candidate list) may
-        be lower than the row path's.
+    ``instance`` is the query input instance ``I_Q`` (one relation per
+    alias).  Constant constraints of the c-tuple are served by the
+    relations' hash indexes (:meth:`RelationInstance.lookup`, the
+    paper's ``SELECT ... WHERE`` of Ex. 3.1); only those candidates are
+    checked against the full c-tuple.
     """
 
-    def __init__(
-        self,
-        instance: DatabaseInstance,
-        database: Database | None = None,
-        aliases: Mapping[str, str] | None = None,
-        use_columnar: bool = False,
-    ):
+    def __init__(self, instance: DatabaseInstance):
         self.instance = instance
-        self.database = database
-        self.aliases = dict(aliases or {})
-        self.use_columnar = use_columnar
 
     def find(self, tc: CTuple) -> CompatibilitySets:
         """Compute ``Dir_tc`` / ``InDir_tc`` for the c-tuple."""
@@ -177,83 +152,28 @@ class CompatibleFinder:
             indirect_aliases=indirect_aliases,
             dir_tids=dir_tids,
             indir_tids=indir_tids,
-            constrained_aliases=constrained,
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _compatible_in(self, alias: str, tc: CTuple) -> list[Tuple]:
         relation = self.instance.relation(alias)
-        candidates = self._candidates(alias, tc)
-        if candidates is None:
-            candidates = list(relation)
+        equalities = [
+            (attr, entry)
+            for attr, entry in tc.entries()
+            if alias_of(attr) == alias and not isinstance(entry, Var)
+        ]
+        candidates: Sequence[Tuple] = relation.tuples
+        if equalities:
+            # start from the most selective index bucket
+            first = min(
+                equalities, key=lambda eq: len(relation.lookup(*eq))
+            )
+            rest = [eq for eq in equalities if eq[0] != first[0]]
+            candidates = [
+                t
+                for t in relation.lookup(*first)
+                if all(t[attr] == value for attr, value in rest)
+            ]
         context = current_context()
         if context is not None:
             context.tick_comparisons(len(candidates))
         return [t for t in candidates if tuple_matches_ctuple(t, tc)]
-
-    def _candidates(self, alias: str, tc: CTuple) -> list[Tuple] | None:
-        """Index-served candidate tuples, or ``None`` for a full scan."""
-        if self.database is None:
-            if self.use_columnar:
-                return self._columnar_candidates(alias, tc)
-            return None
-        table_name = self.aliases.get(alias, alias)
-        if table_name not in self.database:
-            return None
-        table = self.database.table(table_name)
-        equalities: dict[str, Value] = {}
-        for attr, entry in tc.entries():
-            if alias_of(attr) != alias or isinstance(entry, Var):
-                continue
-            equalities[unqualified_name(attr)] = entry
-        if not equalities:
-            return None
-        ids = self.database.table(table_name).select_ids(equalities)
-        relation = self.instance.relation(alias)
-        prefix = f"{table.schema.name}:"
-        out: list[Tuple] = []
-        for tid in ids:
-            suffix = tid[len(prefix):] if tid.startswith(prefix) else tid
-            out.append(relation.by_tid(f"{alias}:{suffix}"))
-        return out
-
-    def _columnar_candidates(
-        self, alias: str, tc: CTuple
-    ) -> list[Tuple] | None:
-        """Candidates via the columnar dictionaries, or ``None``.
-
-        Only constant equalities narrow; variables and conditions are
-        still decided by ``tuple_matches_ctuple`` on the candidates.
-        """
-        equalities: list[tuple[str, Value]] = []
-        for attr, entry in tc.entries():
-            if alias_of(attr) != alias or isinstance(entry, Var):
-                continue
-            equalities.append((attr, entry))
-        if not equalities:
-            return None
-        from ..columnar import columnar_table  # lazy: optional path
-
-        table = columnar_table(self.instance, alias)
-        rows: set[int] | None = None
-        for attr, value in equalities:
-            if attr not in table.batch.codes:
-                return None  # schema mismatch: fall back to full scan
-            matched = set(table.rows_equal(attr, value))
-            rows = matched if rows is None else rows & matched
-            if not rows:
-                return []
-        assert rows is not None
-        return [table.source_tuple(row) for row in sorted(rows)]
-
-
-def find_compatibles(
-    tc: CTuple,
-    instance: DatabaseInstance,
-    database: Database | None = None,
-    aliases: Mapping[str, str] | None = None,
-) -> CompatibilitySets:
-    """Convenience wrapper around :class:`CompatibleFinder`."""
-    return CompatibleFinder(instance, database, aliases).find(tc)

@@ -135,9 +135,9 @@ class NedExplainConfig:
     literal per-question loop (the oracle of the differential tests).
     ``use_columnar`` additionally runs that shared evaluation on the
     batch-at-a-time engine of :mod:`repro.columnar` (identical rows,
-    lineage, and TabQ picks; the row engine stays the oracle) and lets
-    CompatibleFinder narrow full scans through the columnar value
-    dictionaries; it requires ``use_shared_evaluation``.
+    lineage, and TabQ picks; the row engine stays the oracle); it
+    selects only the evaluation engine, never how CompatibleFinder
+    finds candidates, and it requires ``use_shared_evaluation``.
     ``budget`` is the default execution budget applied to every
     ``explain``/``explain_each`` call that does not pass its own; when
     it runs out the call returns an explicit *degraded* report
@@ -162,9 +162,12 @@ class NedExplain:
     database:
         A stored :class:`~repro.relational.database.Database`.  The
         query input instance is derived through the canonical alias
-        mapping; CompatibleFinder uses the database's indexes.
+        mapping once, at construction; the engine answers over that
+        snapshot, so later inserts into the database are not seen.
     instance:
-        Alternatively, a ready-made query input instance.
+        Alternatively, a ready-made query input instance.  Either way
+        CompatibleFinder narrows through the hash indexes of the query
+        input instance.
     cache:
         The :class:`~repro.relational.evalcache.EvaluationCache` the
         shared bottom-up evaluation is served from; defaults to the
@@ -200,12 +203,7 @@ class NedExplain:
         else:
             assert instance is not None
             self.instance = instance
-        self.finder = CompatibleFinder(
-            self.instance,
-            database,
-            canonical.aliases,
-            use_columnar=self.config.use_columnar,
-        )
+        self.finder = CompatibleFinder(self.instance)
         self.cache = cache if cache is not None else get_default_cache()
         # Per-explain mutable state lives in a threading.local: a
         # parallel batch runs explain() concurrently on one engine, and

@@ -8,9 +8,12 @@ algorithms need from a store:
   "assumes that each table has a key attribute to uniquely identify a
   tuple", Sec. 3.1 footnote 2);
 * inserts that mint stable tuple identifiers ``Table:key``;
-* equality lookups served by hash indexes, plus predicate scans -- the
-  ``SELECT <key> FROM R WHERE ...`` queries CompatibleFinder issues;
 * derivation of query input instances for ``(Q, eta_Q)`` pairs.
+
+CompatibleFinder's ``SELECT <key> FROM R WHERE ...`` lookups are served
+by the hash indexes of the derived query input instance
+(:meth:`~repro.relational.instance.RelationInstance.lookup`), never by
+the live tables, so an engine always answers over its own snapshot.
 """
 
 from __future__ import annotations
@@ -19,49 +22,30 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, UnknownRelationError
-from .conditions import Condition, compare_values
 from .instance import DatabaseInstance, query_input_instance
 from .schema import DatabaseSchema, RelationSchema
 from .tuples import Tuple, Value, qualify
 
 
-class _Index:
-    """Hash index from one attribute's values to tuple ids."""
-
-    def __init__(self, attribute: str):
-        self.attribute = attribute
-        self._buckets: dict[Value, list[str]] = {}
-
-    def add(self, value: Value, tid: str) -> None:
-        self._buckets.setdefault(value, []).append(tid)
-
-    def lookup(self, value: Value) -> Sequence[str]:
-        return tuple(self._buckets.get(value, ()))
-
-
 class Table:
-    """One stored table: schema + rows + indexes.
+    """One stored table: schema + rows.
 
-    Every mutation (``insert``, ``create_index``) bumps a monotonic
-    version counter so cached evaluation results derived from this
-    table can be invalidated; the owning :class:`Database` is notified
-    through ``_on_mutate``.
+    Every ``insert`` bumps a monotonic version counter so cached
+    evaluation results derived from this table can be invalidated; the
+    owning :class:`Database` is notified through ``_on_mutate``.
     """
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
+        #: tid -> row, in insertion order
         self._rows: dict[str, Tuple] = {}
-        self._order: list[str] = []
-        self._indexes: dict[str, _Index] = {}
         self._auto_id = itertools.count(1)
         self._version = 0
         self._on_mutate = None
-        if schema.key is not None:
-            self._build_index(schema.key)
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (bumped by insert/create_index)."""
+        """Monotonic mutation counter (bumped by insert)."""
         return self._version
 
     def _bump(self) -> None:
@@ -106,39 +90,18 @@ class Table:
             tid = f"{self.schema.name}:{next(self._auto_id)}"
         row = Tuple(values, tid=tid)
         self._rows[tid] = row
-        self._order.append(tid)
-        for index in self._indexes.values():
-            index.add(row[qualify(self.schema.name, index.attribute)], tid)
         self._bump()
         return row
-
-    def create_index(self, attribute: str) -> None:
-        """Create (or refresh) a hash index on *attribute*."""
-        self._build_index(attribute)
-        self._bump()
-
-    def _build_index(self, attribute: str) -> None:
-        """Build the index without bumping the version (lazy reads)."""
-        if attribute not in self.schema.attributes:
-            raise SchemaError(
-                f"table {self.schema.name!r} has no attribute "
-                f"{attribute!r} to index"
-            )
-        index = _Index(attribute)
-        qualified = qualify(self.schema.name, attribute)
-        for tid in self._order:
-            index.add(self._rows[tid][qualified], tid)
-        self._indexes[attribute] = index
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
     @property
     def rows(self) -> tuple[Tuple, ...]:
-        return tuple(self._rows[tid] for tid in self._order)
+        return tuple(self._rows.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._rows)
 
     def by_tid(self, tid: str) -> Tuple:
         try:
@@ -147,56 +110,6 @@ class Table:
             raise UnknownRelationError(
                 f"no row {tid!r} in table {self.schema.name!r}"
             ) from None
-
-    def select_ids_eq(self, attribute: str, value: Value) -> list[str]:
-        """Ids of rows with ``attribute = value`` (index-served)."""
-        if attribute not in self._indexes:
-            self._build_index(attribute)
-        return list(self._indexes[attribute].lookup(value))
-
-    def select_ids(
-        self,
-        equalities: Mapping[str, Value] | None = None,
-        condition: Condition | None = None,
-    ) -> list[str]:
-        """Ids of rows satisfying all equalities and the condition.
-
-        This is the engine-level counterpart of CompatibleFinder's
-        ``SELECT A.aid FROM A WHERE A.name = 'Homer'`` (Example 3.1):
-        equality constraints are served from hash indexes; the residual
-        *condition* (over qualified attributes) is checked per row.
-        """
-        equalities = dict(equalities or {})
-        candidates: Iterable[str]
-        if equalities:
-            # Start from the most selective indexed equality.
-            attribute, value = min(
-                equalities.items(),
-                key=lambda item: len(self.select_ids_eq(*item)),
-            )
-            candidates = self.select_ids_eq(attribute, value)
-            rest = {a: v for a, v in equalities.items() if a != attribute}
-        else:
-            candidates = list(self._order)
-            rest = {}
-        out: list[str] = []
-        for tid in candidates:
-            row = self._rows[tid]
-            ok = all(
-                compare_values(
-                    row[qualify(self.schema.name, attr)], "=", value
-                )
-                for attr, value in rest.items()
-            )
-            if ok and (condition is None or condition.evaluate(row)):
-                out.append(tid)
-        return out
-
-    def scan(self, condition: Condition | None = None) -> list[Tuple]:
-        """Full scan returning rows satisfying *condition*."""
-        if condition is None:
-            return list(self.rows)
-        return [row for row in self.rows if condition.evaluate(row)]
 
 
 #: process-wide serial numbers for databases; unlike ``id()`` these are
@@ -225,7 +138,7 @@ class Database:
         Built from a never-reused serial number and the mutation
         counter: equal keys guarantee identical stored contents (for
         the life of the process), and any ``insert`` / ``create_table``
-        / ``create_index`` produces a fresh key.
+        produces a fresh key.
         """
         return ("db", self._serial, self._version)
 

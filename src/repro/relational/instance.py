@@ -17,19 +17,25 @@ from typing import Iterable, Iterator, Mapping
 
 from ..errors import SchemaError, UnknownRelationError
 from .schema import DatabaseSchema, RelationSchema
-from .tuples import Tuple, qualify, split_qualified
+from .tuples import Tuple, Value, qualify, split_qualified
 
 #: process-wide serial numbers for instances (never reused, unlike id())
 _INSTANCE_SERIALS = itertools.count(1)
 
 
 class RelationInstance:
-    """An ordered collection of tuples over one relation schema."""
+    """An ordered collection of tuples over one relation schema.
+
+    Equality lookups (:meth:`lookup`) are served by per-attribute hash
+    indexes built on first use and dropped by every :meth:`add`.
+    """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple] = ()):
         self.schema = schema
         self._tuples: list[Tuple] = []
         self._by_tid: dict[str, Tuple] = {}
+        #: qualified attribute -> value -> matching tuples, in order
+        self._indexes: dict[str, dict[Value, tuple[Tuple, ...]]] = {}
         for t in tuples:
             self.add(t)
 
@@ -49,6 +55,31 @@ class RelationInstance:
             )
         self._tuples.append(t)
         self._by_tid[t.tid] = t
+        if self._indexes:
+            self._indexes = {}
+
+    def lookup(self, attribute: str, value: Value) -> tuple[Tuple, ...]:
+        """The tuples whose qualified *attribute* equals *value*.
+
+        Served by a hash index on *attribute*, so values are matched by
+        Python ``==`` (``5`` finds ``5.0``, ``1`` finds ``True``).  The
+        result keeps the relation's order.  The index is built complete
+        before it is published, so threads sharing this instance never
+        see a half-built one; pure reads leave every version unchanged.
+        """
+        index = self._indexes.get(attribute)
+        if index is None:
+            if attribute not in self.schema.type:
+                raise SchemaError(
+                    f"relation {self.schema.name!r} has no attribute "
+                    f"{attribute!r} to look up"
+                )
+            buckets: dict[Value, list[Tuple]] = {}
+            for t in self._tuples:
+                buckets.setdefault(t[attribute], []).append(t)
+            index = {v: tuple(ts) for v, ts in buckets.items()}
+            self._indexes[attribute] = index
+        return index.get(value, ())
 
     @property
     def tuples(self) -> tuple[Tuple, ...]:

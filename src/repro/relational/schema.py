@@ -28,9 +28,10 @@ class RelationSchema:
         Unqualified attribute names in declaration order.
     key:
         Optional name of the key attribute.  The paper's
-        CompatibleFinder (Sec. 3.1, step 2a) retrieves tuples by their
-        key; our :class:`~repro.relational.database.Database` enforces
-        uniqueness on it.
+        CompatibleFinder (Sec. 3.1, step 2a) assumes a key identifies
+        each tuple; our :class:`~repro.relational.database.Database`
+        enforces uniqueness on it and mints the tuple ids ``R:<key>``
+        from it.
     """
 
     name: str

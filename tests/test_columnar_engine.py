@@ -98,15 +98,6 @@ class TestDictionary:
         decoded = [d.decode(c) for c in codes]
         assert [type(v) for v in decoded] == [int, float, bool, int]
 
-    def test_codes_equal_uses_plain_equality(self):
-        """Constant predicates compare with ``==`` on the row side, so
-        the code-driven path must find every ``==``-equal code."""
-        d = Dictionary()
-        d.encode_many([5, 5.0, 7])
-        assert d.codes_equal(5) == [0, 1]
-        assert d.codes_equal(7.0) == [2]
-        assert d.codes_equal("missing") == []
-
 
 # ---------------------------------------------------------------------------
 # Bitmap

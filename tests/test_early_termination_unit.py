@@ -13,7 +13,7 @@ check directly through TabQ states to pin down each clause:
 
 import pytest
 
-from repro.core import CTuple, NedExplain, TabQ, find_compatibles
+from repro.core import CTuple, CompatibleFinder, NedExplain, TabQ
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def prepared(running_example):
     engine = NedExplain(canonical, database=db)
     instance = db.input_instance(canonical.aliases)
     tc = CTuple({"A.name": "Homer"})
-    compat = find_compatibles(tc, instance)
+    compat = CompatibleFinder(instance).find(tc)
     tabq = TabQ(canonical.root, instance, compat)
     return engine, tabq
 

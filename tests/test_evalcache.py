@@ -4,8 +4,8 @@ Covers the pieces the differential suites rely on:
 
 * LRU behaviour and the hit/miss/eviction/evaluation counters;
 * invalidation through the version counters (``Database.insert``,
-  direct ``Table.insert``, explicit ``create_index``) and the
-  *non*-invalidation of pure read paths (lazy index builds);
+  direct ``Table.insert``) and the *non*-invalidation of pure read
+  paths (lazy index builds);
 * :meth:`EvaluationResult.rebind` onto structurally equal but distinct
   trees;
 * the node-lifetime regression: ``EvaluationResult`` keys its maps by
@@ -150,26 +150,19 @@ def test_direct_table_insert_invalidates():
     assert cache.stats.misses == 2
 
 
-def test_create_index_is_ddl_and_invalidates():
-    db = make_db()
-    cache = EvaluationCache()
-    canonical = canonicalize(make_spec(0), db.schema)
-    cache_fetch(cache, db, canonical)
-    db.table("R").create_index("b")
-    cache_fetch(cache, db, canonical)
-    assert cache.stats.misses == 2
-
-
 def test_lazy_index_reads_do_not_invalidate():
-    """``select_ids_eq`` builds indexes on demand (the CompatibleFinder
-    path); a pure read must not bump the version, or one explain would
-    invalidate the evaluation the next one needs."""
+    """``RelationInstance.lookup`` builds indexes on demand (the
+    CompatibleFinder path); a pure read must not change the data key,
+    or one explain would invalidate the evaluation the next one
+    needs."""
     db = make_db()
-    table = db.table("R")
-    before = (table.version, db.version)
-    table.select_ids_eq("a", 1)
-    table.select_ids_eq("b", 2)
-    assert (table.version, db.version) == before
+    canonical = canonicalize(make_spec(0), db.schema)
+    instance = db.input_instance(canonical.aliases)
+    before = (instance.data_key, db.data_key)
+    relation = instance.relation("R")
+    assert [t.tid for t in relation.lookup("R.a", 1)] == ["R:1"]
+    assert [t.tid for t in relation.lookup("R.b", 2)] == ["R:2"]
+    assert (instance.data_key, db.data_key) == before
 
 
 def test_input_instance_keys_stable_across_derivations():

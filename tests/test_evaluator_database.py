@@ -12,7 +12,6 @@ from repro.relational import (
     Database,
     Project,
     RelationLeaf,
-    attr_cmp,
     evaluate,
     evaluate_query,
     resolve_aliases,
@@ -206,41 +205,15 @@ class TestDatabase:
         row = db.insert("T", id=1)
         assert row["T.v"] is None
 
-    def test_select_ids_eq_uses_index(self):
-        db = Database()
-        table = db.create_table("T", ["id", "v"], key="id")
-        db.insert("T", id=1, v="a")
-        db.insert("T", id=2, v="b")
-        db.insert("T", id=3, v="a")
-        assert sorted(table.select_ids_eq("v", "a")) == ["T:1", "T:3"]
-
-    def test_select_ids_multiple_equalities(self):
-        db = Database()
-        table = db.create_table("T", ["id", "v", "w"], key="id")
-        db.insert("T", id=1, v="a", w=1)
-        db.insert("T", id=2, v="a", w=2)
-        assert table.select_ids({"v": "a", "w": 2}) == ["T:2"]
-
-    def test_select_ids_with_condition(self):
-        db = Database()
-        table = db.create_table("T", ["id", "v"], key="id")
-        db.insert("T", id=1, v=5)
-        db.insert("T", id=2, v=15)
-        ids = table.select_ids(condition=attr_cmp("T.v", ">", 10))
-        assert ids == ["T:2"]
-
-    def test_scan(self):
-        db = Database()
-        table = db.create_table("T", ["id", "v"], key="id")
-        db.insert("T", id=1, v=5)
-        assert len(table.scan()) == 1
-        assert table.scan(attr_cmp("T.v", ">", 10)) == []
-
     def test_index_on_unknown_attr_rejected(self):
         db = Database()
-        table = db.create_table("T", ["id"])
+        db.create_table("T", ["id"])
+        db.insert("T", id=1)
+        relation = db.instance().relation("T")
         with pytest.raises(SchemaError):
-            table.create_index("zz")
+            relation.lookup("T.zz", 1)
+        with pytest.raises(SchemaError):
+            relation.lookup("id", 1)  # unqualified: outside type(T)
 
     def test_by_tid(self):
         db = Database()

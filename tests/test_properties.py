@@ -23,12 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CTuple,
+    CompatibleFinder,
     JoinPair,
     NedExplain,
     NedExplainConfig,
     SPJASpec,
     canonicalize,
-    find_compatibles,
     picky_subqueries,
     unrename_ctuple,
 )
@@ -165,7 +165,7 @@ def test_result_values_subset_of_join_values(case):
 def test_property_2_1_at_most_one_picky_subquery(case):
     db, canonical, tc = case
     instance = db.input_instance(canonical.aliases)
-    compat = find_compatibles(tc, instance)
+    compat = CompatibleFinder(instance).find(tc)
     result = evaluate_query(canonical.root, db.instance())
     for source in compat.direct_tuples():
         picky = picky_subqueries(
@@ -181,7 +181,7 @@ def test_completeness_blamed_or_survives(case):
     successor of it reaches the query result."""
     db, canonical, tc = case
     instance = db.input_instance(canonical.aliases)
-    compat = find_compatibles(tc, instance)
+    compat = CompatibleFinder(instance).find(tc)
     if compat.is_empty:
         return
     engine = NedExplain(
@@ -211,7 +211,7 @@ def test_algorithm_matches_declarative_oracle(case):
     subqueries of Def. 2.11, per compatible tuple."""
     db, canonical, tc = case
     instance = db.input_instance(canonical.aliases)
-    compat = find_compatibles(tc, instance)
+    compat = CompatibleFinder(instance).find(tc)
     if compat.is_empty:
         return
     engine = NedExplain(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (
     CTuple,
-    find_compatibles,
+    CompatibleFinder,
     find_successors,
     is_picky_manipulation,
     is_picky_query,
@@ -27,7 +27,7 @@ def traced_example(running_example):
     tc = CTuple(
         {"A.name": "Homer", "ap": Var("x1")}, var_cmp("x1", ">", 25)
     )
-    compat = find_compatibles(tc, instance)
+    compat = CompatibleFinder(instance).find(tc)
     homer = instance.relation("A").by_tid("A:a1")
     return db, canonical, result, compat, homer
 
@@ -83,7 +83,7 @@ class TestFindSuccessors:
         instance = db.input_instance(canonical.aliases)
         result = evaluate_query(canonical.root, db.instance())
         tc = CTuple({"A.name": "Homer", "B.price": 49})
-        compat = find_compatibles(tc, instance)
+        compat = CompatibleFinder(instance).find(tc)
         homer = instance.relation("A").by_tid("A:a1")
         top_join = canonical.node("m1")
         step = find_successors(
