@@ -67,7 +67,7 @@ from .obs import (
     write_trace_jsonl,
 )
 from .relational.csv_io import load_database
-from .relational.evaluator import evaluate_query
+from .relational.evaluator import evaluate
 from .relational.sql import sql_to_canonical
 from .robustness import (
     BatchJournal,
@@ -586,8 +586,8 @@ def _run_explain(args, writer: OutputWriter) -> int:
     writer.block(canonical.pretty())
     writer.line()
     if args.show_result:
-        result = evaluate_query(
-            canonical.root, database.instance(), canonical.aliases
+        result = evaluate(
+            canonical.root, database.input_instance(canonical.aliases)
         )
         rows = result.result_values()
         writer.set("query_result", rows)

@@ -260,9 +260,7 @@ class Select(Query):
         out = []
         for t in child_tuples:
             if self.condition.evaluate(t):
-                out.append(
-                    Tuple(t.values, lineage=t.lineage, parents=(t,))
-                )
+                out.append(t.derive())
         return _dedupe(out)
 
     def describe(self) -> str:
@@ -346,14 +344,19 @@ class Join(Query):
         left_map = self.renaming.left_mapping(self.left.target_type)
         right_map = self.renaming.right_mapping(self.right.target_type)
 
-        # Hash join on the renaming pairs (cross product when empty).
-        index: dict[tuple[Value, ...], list[Tuple]] = {}
+        # Hash join on the renaming pairs (cross product when empty);
+        # each right tuple's renamed pairs are computed once, not per
+        # match.
+        index: dict[
+            tuple[Value, ...], list[tuple[Tuple, list[tuple[str, Value]]]]
+        ] = {}
         _tick_comparisons(len(right_tuples))
         for rt in right_tuples:
             key = tuple(rt[a] for a in right_keys)
             if any(v is None for v in key):
                 continue  # SQL: NULL never joins
-            index.setdefault(key, []).append(rt)
+            renamed = [(right_map.get(a, a), v) for a, v in rt.items()]
+            index.setdefault(key, []).append((rt, renamed))
 
         out: list[Tuple] = []
         for lt in left_tuples:
@@ -364,21 +367,17 @@ class Join(Query):
             # per-probe tick: bounds a runaway (e.g. accidental cross)
             # join inside this very loop, not only after it returns
             _tick_comparisons(1 + len(matches))
-            for rt in matches:
-                values: dict[str, Value] = {}
-                for attr, value in lt.items():
-                    values[left_map.get(attr, attr)] = value
-                for attr, value in rt.items():
-                    new_name = right_map.get(attr, attr)
+            if not matches:
+                continue
+            left_values = {left_map.get(a, a): v for a, v in lt.items()}
+            for rt, renamed in matches:
+                values = dict(left_values)
+                for new_name, value in renamed:
                     if new_name in values:
                         continue  # shared join attribute, equal value
                     values[new_name] = value
                 out.append(
-                    Tuple(
-                        values,
-                        lineage=lt.lineage | rt.lineage,
-                        parents=(lt, rt),
-                    )
+                    Tuple._adopt(values, lt.lineage | rt.lineage, (lt, rt))
                 )
         return _dedupe(out)
 
@@ -485,7 +484,7 @@ class Aggregate(Query):
             for member in group:
                 lineage |= member.lineage
             out.append(
-                Tuple(values, lineage=lineage, parents=tuple(group))
+                Tuple._adopt(values, frozenset(lineage), tuple(group))
             )
         return _dedupe(out)
 
@@ -531,12 +530,12 @@ class Union(Query):
             values = {
                 left_map.get(attr, attr): value for attr, value in t.items()
             }
-            out.append(Tuple(values, lineage=t.lineage, parents=(t,)))
+            out.append(Tuple._adopt(values, t.lineage, (t,)))
         for t in right_tuples:
             values = {
                 right_map.get(attr, attr): value for attr, value in t.items()
             }
-            out.append(Tuple(values, lineage=t.lineage, parents=(t,)))
+            out.append(Tuple._adopt(values, t.lineage, (t,)))
         return _dedupe(out)
 
     def describe(self) -> str:
@@ -600,7 +599,7 @@ class Difference(Query):
             }
             if frozenset(values.items()) in blocked_values:
                 continue
-            out.append(Tuple(values, lineage=t.lineage, parents=(t,)))
+            out.append(Tuple._adopt(values, t.lineage, (t,)))
         return _dedupe(out)
 
     def describe(self) -> str:

@@ -10,6 +10,14 @@ algorithms need from a store:
 * inserts that mint stable tuple identifiers ``Table:key``;
 * derivation of query input instances for ``(Q, eta_Q)`` pairs.
 
+:meth:`Database.input_instance` builds ``I_Q`` straight from the
+aliased tables: one renamed copy per alias (an alias equal to its table
+name shares the stored rows) and nothing of the tables the query does
+not name.  It goes through the same renaming routine as
+:func:`~repro.relational.instance.query_input_instance` over a full
+:meth:`Database.instance` snapshot, and yields an equal instance under
+the same data key.
+
 CompatibleFinder's ``SELECT <key> FROM R WHERE ...`` lookups are served
 by the hash indexes of the derived query input instance
 (:meth:`~repro.relational.instance.RelationInstance.lookup`), never by
@@ -19,10 +27,10 @@ the live tables, so an engine always answers over its own snapshot.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, UnknownRelationError
-from .instance import DatabaseInstance, query_input_instance
+from .instance import DatabaseInstance, build_input_instance
 from .schema import DatabaseSchema, RelationSchema
 from .tuples import Tuple, Value, qualify
 
@@ -99,6 +107,9 @@ class Table:
     @property
     def rows(self) -> tuple[Tuple, ...]:
         return tuple(self._rows.values())
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return iter(self._rows.values())
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -221,8 +232,13 @@ class Database:
     def input_instance(
         self, aliases: Mapping[str, str]
     ) -> DatabaseInstance:
-        """The query input instance ``I_Q`` for ``eta_Q`` (Def. 2.3)."""
-        return query_input_instance(self.instance(), aliases)
+        """The query input instance ``I_Q`` for ``eta_Q`` (Def. 2.3).
+
+        Equal, data key included, to
+        ``query_input_instance(self.instance(), aliases)`` but built
+        from the aliased tables only (see the module docstring).
+        """
+        return build_input_instance(self.table, aliases, self.data_key)
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -13,11 +13,11 @@ fix for the baseline's Crime6/Crime7 failure discussed in Sec. 4.2).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Protocol
 
 from ..errors import SchemaError, UnknownRelationError
 from .schema import DatabaseSchema, RelationSchema
-from .tuples import Tuple, Value, qualify, split_qualified
+from .tuples import Tuple, Value, qualify
 
 #: process-wide serial numbers for instances (never reused, unlike id())
 _INSTANCE_SERIALS = itertools.count(1)
@@ -41,7 +41,7 @@ class RelationInstance:
 
     def add(self, t: Tuple) -> None:
         """Append *t*, validating its type against the schema."""
-        if t.type != self.schema.type:
+        if not t.has_type(self.schema.type):
             raise SchemaError(
                 f"tuple of type {sorted(t.type)} does not match relation "
                 f"{self.schema.name!r} of type {sorted(self.schema.type)}"
@@ -115,17 +115,7 @@ class RelationInstance:
         """
         if alias == self.schema.name:
             return self
-        mapping = {
-            qualify(self.schema.name, a): qualify(alias, a)
-            for a in self.schema.attributes
-        }
-        renamed_schema = self.schema.renamed(alias)
-        copy = RelationInstance(renamed_schema)
-        for t in self._tuples:
-            values = {mapping[attr]: value for attr, value in t.items()}
-            new_tid = _retag_tid(t.tid, self.schema.name, alias)
-            copy.add(Tuple(values, tid=new_tid))
-        return copy
+        return requalify(self.schema, self._tuples, alias)
 
     def __repr__(self) -> str:
         return (
@@ -134,13 +124,54 @@ class RelationInstance:
         )
 
 
-def _retag_tid(tid: str | None, old_alias: str, new_alias: str) -> str:
-    """Rewrite a tuple id ``old_alias:k`` as ``new_alias:k``."""
-    assert tid is not None
-    prefix = f"{old_alias}:"
-    if tid.startswith(prefix):
-        return f"{new_alias}:{tid[len(prefix):]}"
-    return f"{new_alias}:{tid}"
+class RelationSource(Protocol):
+    """Stored tuples of one relation: a relation instance or a table."""
+
+    schema: RelationSchema
+
+    def __iter__(self) -> Iterator[Tuple]: ...
+
+
+def requalify(
+    schema: RelationSchema, tuples: Iterable[Tuple], alias: str
+) -> RelationInstance:
+    """Copy the stored *tuples* of relation *schema* under *alias*.
+
+    The one renaming routine behind :meth:`RelationInstance.requalified`
+    and :func:`build_input_instance`.  *tuples* must already have
+    ``schema``'s type and distinct tids.  Under the relation's own name
+    the result shares the tuple objects.  Under another alias each
+    tuple is rebuilt with attributes ``R.x -> alias.x`` and tid
+    ``R:k -> alias:k``.  The attribute mapping is a bijection onto the
+    renamed type, so the copies skip the type check; the tids are
+    still checked, because retagging is not injective (``A:1`` and
+    ``1`` both become ``alias:1``).
+    """
+    if alias == schema.name:
+        copy = RelationInstance(schema)
+        copy._tuples.extend(tuples)
+        copy._by_tid.update((t.tid, t) for t in copy._tuples)
+        return copy
+    copy = RelationInstance(schema.renamed(alias))
+    tuples_out = copy._tuples
+    by_tid = copy._by_tid
+    mapping = {
+        qualify(schema.name, a): qualify(alias, a) for a in schema.attributes
+    }
+    prefix = f"{schema.name}:"
+    cut = len(prefix)
+    for t in tuples:
+        old = t.tid
+        tid = f"{alias}:{old[cut:] if old.startswith(prefix) else old}"
+        if tid in by_tid:
+            raise SchemaError(
+                f"duplicate tuple id {tid!r} in relation {alias!r}"
+            )
+        values = {mapping[attr]: value for attr, value in t.items()}
+        renamed = Tuple._adopt(values, frozenset((tid,)), tid=tid)
+        tuples_out.append(renamed)
+        by_tid[tid] = renamed
+    return copy
 
 
 class DatabaseInstance:
@@ -242,9 +273,13 @@ class DatabaseInstance:
         return tuple(result)
 
     def tuple_by_tid(self, tid: str) -> Tuple:
-        """Locate a tuple by its id, searching all relations."""
-        alias, _ = split_qualified(tid.replace(":", ".", 1))
-        if alias in self._relations:
+        """Locate a tuple by its id, searching all relations.
+
+        A tid ``R:k`` is looked up in relation ``R`` first; any other
+        tid (e.g. a verbatim ``t4``) is searched for everywhere.
+        """
+        alias, sep, _ = tid.partition(":")
+        if sep and alias in self._relations:
             return self._relations[alias].by_tid(tid)
         for relation in self._relations.values():
             try:
@@ -265,23 +300,40 @@ class DatabaseInstance:
         return f"DatabaseInstance({parts})"
 
 
+def build_input_instance(
+    relation: Callable[[str], RelationSource],
+    aliases: Mapping[str, str],
+    data_key: tuple,
+) -> DatabaseInstance:
+    """Build the input instance ``I_Q`` of a query (Def. 2.3).
+
+    For each alias ``S`` with ``eta_Q(S) = R``, the result contains the
+    tuples of ``relation(R)`` re-qualified (attributes and tuple ids)
+    with ``S`` by :func:`requalify` -- one copy per alias, of the named
+    relations only.  The result adopts the key ``("iq", data_key,
+    sorted aliases)``, so two builds from one source version share
+    cached evaluations.
+    """
+    relations = []
+    for alias, target in aliases.items():
+        source = relation(target)
+        relations.append(requalify(source.schema, source, alias))
+    result = DatabaseInstance(
+        DatabaseSchema(tuple(r.schema for r in relations))
+    )
+    result._relations = {r.schema.name: r for r in relations}
+    result.adopt_key(("iq", data_key, tuple(sorted(aliases.items()))))
+    return result
+
+
 def query_input_instance(
     database: DatabaseInstance, aliases: Mapping[str, str]
 ) -> DatabaseInstance:
-    """Build the input instance ``I_Q`` of a query (Def. 2.3).
+    """Build ``I_Q`` from a database instance (Def. 2.3).
 
     For each alias ``S`` with ``eta_Q(S) = R``, the result contains
     ``I | R`` re-qualified (attributes and tuple ids) with ``S``.
     """
-    from .schema import alias_schema  # local import to avoid cycle noise
-
-    input_schema = alias_schema(aliases, database.schema)
-    result = DatabaseInstance(input_schema)
-    for alias, target in aliases.items():
-        source = database.relation(target).requalified(alias)
-        for t in source:
-            result.add(alias, t)
-    result.adopt_key(
-        ("iq", database.data_key, tuple(sorted(aliases.items())))
+    return build_input_instance(
+        database.relation, aliases, database.data_key
     )
-    return result

@@ -63,11 +63,18 @@ class RelationSchema:
             raise SchemaError(
                 f"key {self.key!r} is not an attribute of {self.name!r}"
             )
+        # computed once: every tuple entering an instance is checked
+        # against it (not a field, so equality and hashing ignore it)
+        object.__setattr__(
+            self,
+            "_type",
+            frozenset(qualify(self.name, a) for a in self.attributes),
+        )
 
     @property
     def type(self) -> frozenset[str]:
         """The qualified type ``{R.A1, ..., R.An}`` of the relation."""
-        return frozenset(qualify(self.name, a) for a in self.attributes)
+        return self._type
 
     def qualified(self, attribute: str) -> str:
         """Qualify *attribute* with this relation's name.

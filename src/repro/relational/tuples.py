@@ -116,6 +116,34 @@ class Tuple:
             (frozenset(self._values.items()), self._lineage)
         )
 
+    @classmethod
+    def _adopt(
+        cls,
+        values: dict[str, Value],
+        lineage: frozenset[str],
+        parents: tuple["Tuple", ...] = (),
+        tid: str | None = None,
+        hash_: int | None = None,
+    ) -> "Tuple":
+        """Build a tuple that takes ownership of *values*, uncopied.
+
+        For the operators only: *values* must be a non-empty dict that
+        nobody mutates afterwards.  Tuples never mutate theirs, so a
+        derived tuple may share its parent's dict (and, with the same
+        values and lineage, its hash).
+        """
+        t = cls.__new__(cls)
+        t._values = values
+        t._tid = tid
+        t._lineage = lineage
+        t._parents = parents
+        t._hash = (
+            hash((frozenset(values.items()), lineage))
+            if hash_ is None
+            else hash_
+        )
+        return t
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -143,6 +171,10 @@ class Tuple:
     def type(self) -> frozenset[str]:
         """The type of the tuple: its set of attribute names (Sec 2.1)."""
         return frozenset(self._values)
+
+    def has_type(self, attributes: frozenset[str]) -> bool:
+        """True when this tuple's type equals *attributes* (no copy)."""
+        return self._values.keys() == attributes
 
     def is_base(self) -> bool:
         """Return True when this is a base (stored) tuple."""
@@ -187,7 +219,20 @@ class Tuple:
         its lineage.
         """
         kept = {attr: self[attr] for attr in attributes}
-        return Tuple(kept, lineage=self._lineage, parents=(self,))
+        if not kept:
+            raise SchemaError("a tuple must have at least one attribute")
+        return Tuple._adopt(kept, self._lineage, (self,))
+
+    def derive(self) -> "Tuple":
+        """Return a derived tuple with the same values and lineage.
+
+        The result records this tuple as its single parent -- what a
+        selection outputs for each tuple it keeps.  It shares this
+        tuple's value dict and hash.
+        """
+        return Tuple._adopt(
+            self._values, self._lineage, (self,), hash_=self._hash
+        )
 
     def merge(self, other: "Tuple") -> "Tuple":
         """Return the join of this tuple with *other*.

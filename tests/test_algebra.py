@@ -76,6 +76,23 @@ class TestSelect:
         with pytest.raises(QueryError):
             Select(leaf("A", "x"), attr_cmp("A.z", "=", 1))
 
+    def test_output_values_are_detached_from_shared_dict(self):
+        # a selected tuple shares its parent's value dict internally;
+        # mutating the copy that .values returns touches neither
+        node = Select(leaf("A", "x"), attr_cmp("A.x", ">", 1))
+        (parent,) = rows("A", {"x": 2})
+        (out,) = node.apply([[parent]])
+        parent_hash, out_hash = hash(parent), hash(out)
+        twin = base_tuple("A", "A:0", x=2)
+        exposed = out.values
+        exposed["A.x"] = 99
+        exposed["A.extra"] = 1
+        parent.values["A.x"] = 98
+        assert out["A.x"] == 2 and parent["A.x"] == 2
+        assert out.type == parent.type == frozenset({"A.x"})
+        assert hash(out) == out_hash == hash(twin) == parent_hash
+        assert out == parent == twin
+
     def test_variable_condition_rejected(self):
         with pytest.raises(QueryError):
             Select(leaf("A", "x"), var_cmp("v", "=", 1))
@@ -125,6 +142,22 @@ class TestJoin:
             leaf("B", "k", "y"),
             Renaming.of(("A.k", "B.k", "k")),
         )
+
+    def test_output_values_are_detached(self):
+        node = self._join()
+        left = rows("A", {"k": 1, "x": "l1"})
+        right = rows("B", {"k": 1, "y": "r1"})
+        (out,) = node.apply([left, right])
+        before = (hash(out), hash(left[0]), hash(right[0]))
+        expected = {"k": 1, "A.x": "l1", "B.y": "r1"}
+        exposed = out.values
+        assert exposed == expected
+        exposed["k"] = 2
+        exposed.pop("A.x")
+        assert out.values == expected
+        assert left[0].values == {"A.k": 1, "A.x": "l1"}
+        assert (hash(out), hash(left[0]), hash(right[0])) == before
+        assert out == Tuple(expected, lineage={"A:0", "B:0"})
 
     def test_equi_join(self):
         node = self._join()

@@ -320,6 +320,42 @@ class TestCliObservability:
         assert document["metrics"]["evaluator.operators"]["value"] > 0
         assert set(document["trace_summary"]) >= {"Initialization"}
 
+    def test_show_result_ignores_unused_tables(
+        self, running_example_db, tmp_path, capsys
+    ):
+        # --show-result evaluates over I_Q only; an extra stored table
+        # the query never names changes no byte of the document
+        import json
+        import re
+
+        from repro.relational import evaluate_query
+        from repro.relational.sql import sql_to_canonical
+
+        sql = "SELECT A.name FROM A, AB WHERE A.aid = AB.aid"
+        args = ["explain", "--sql", sql, "--why-not", "(A.name: Euripides)",
+                "--show-result", "--json"]
+        timings = re.compile(
+            r'("(?:Initialization|CompatibleFinder|SuccessorsFinder|'
+            r'BottomUp|total_time_ms)": )[-0-9.e]+'
+        )
+
+        def document(db, name):
+            save_database(db, tmp_path / name)
+            assert main(args + ["--data", str(tmp_path / name)]) == 0
+            return timings.sub(r"\g<1>0", capsys.readouterr().out)
+
+        plain = document(running_example_db, "plain")
+        running_example_db.create_table("Extra", ["e"])
+        running_example_db.insert("Extra", e=1)
+        extended = document(running_example_db, "extended")
+        assert extended == plain
+        canonical = sql_to_canonical(sql, running_example_db.schema)
+        reference = evaluate_query(
+            canonical.root, running_example_db.instance(), canonical.aliases
+        ).result_values()
+        assert json.loads(extended)["query_result"] == reference
+        assert len(reference) == 2
+
     def test_demo_supports_json(self, capsys):
         import json
 

@@ -120,6 +120,9 @@ class TestRelationInstance:
         inst = RelationInstance(self._schema())
         with pytest.raises(SchemaError):
             inst.add(base_tuple("B", "B:1", x=1, y=2))
+        with pytest.raises(SchemaError):
+            inst.add(base_tuple("A", "A:1", x=1))
+        assert len(inst) == 0
 
     def test_missing_tid_rejected(self):
         inst = RelationInstance(self._schema())
@@ -152,6 +155,14 @@ class TestRelationInstance:
         inst = RelationInstance(self._schema())
         assert inst.requalified("A") is inst
 
+    def test_requalified_non_injective_retag_raises(self):
+        # "A:1" and the verbatim "1" both retag to "S:1"
+        inst = RelationInstance(self._schema())
+        inst.add(base_tuple("A", "A:1", x=1, y=2))
+        inst.add(base_tuple("A", "1", x=3, y=4))
+        with pytest.raises(SchemaError, match="duplicate tuple id 'S:1'"):
+            inst.requalified("S")
+
 
 # ---------------------------------------------------------------------------
 # DatabaseInstance
@@ -183,6 +194,16 @@ class TestDatabaseInstance:
         assert inst.tuple_by_tid("A:1")["A.x"] == 10
         with pytest.raises(UnknownRelationError):
             inst.tuple_by_tid("A:9")
+
+    def test_tuple_by_tid_verbatim(self):
+        # the paper's running example names base tuples t1 .. t9
+        inst = self._instance()
+        t = inst.insert_values("A", "t1", x=1)
+        assert inst.tuple_by_tid("t1") is t
+        with pytest.raises(UnknownRelationError):
+            inst.tuple_by_tid("t9")
+        with pytest.raises(UnknownRelationError):
+            inst.tuple_by_tid("C:1")
 
     def test_insert_values_qualifies(self):
         inst = self._instance()
