@@ -154,9 +154,6 @@ def explain_outcomes(
     fallback_baseline: bool = False,
     journal: BatchJournal | None = None,
     workers: int = 1,
-    queue_size: int | None = None,
-    shed_after: int | None = None,
-    batch_deadline_s: float | None = None,
     cancel: CancellationToken | None = None,
 ):
     """Fault-isolating variant of :func:`explain_batch`.
@@ -165,9 +162,8 @@ def explain_outcomes(
     question -- a report, or a structured failure (error class, phase,
     budget spent) when that question failed.  Never raises for a
     per-question failure.  The *fallback_baseline* and *journal*
-    knobs and the parallel-executor knobs
-    (*workers*, *queue_size*, *shed_after*, *batch_deadline_s*,
-    *cancel*) are forwarded to
+    knobs and the worker-pool knobs (*workers*, *cancel*) are
+    forwarded to
     :meth:`~repro.core.nedexplain.NedExplain.explain_each`.
     """
     canonical = sql_to_canonical(sql, database.schema)
@@ -180,9 +176,6 @@ def explain_outcomes(
         fallback_baseline=fallback_baseline,
         journal=journal,
         workers=workers,
-        queue_size=queue_size,
-        shed_after=shed_after,
-        batch_deadline_s=batch_deadline_s,
         cancel=cancel,
     )
 

@@ -78,20 +78,17 @@ from .robustness import (
 #: exit codes (the full table lives in docs/robustness.md):
 #: 0 = success; 2 = fatal error; 3 = the run completed but degraded --
 #: a batch with per-question failures, a budget-limited partial report,
-#: a question answered by the baseline fallback, or questions cancelled
-#: by an expired --batch-deadline; 4 = --fallback-baseline was given
-#: and at least one question still got no answer (the baseline failed
-#: on it too); 5 = a drain signal
+#: or a question answered by the baseline fallback; 4 =
+#: --fallback-baseline was given and at least one question still got
+#: no answer (the baseline failed on it too); 5 = a drain signal
 #: (SIGINT/SIGTERM) was received -- in-flight questions finished and
-#: were journaled, not-yet-started ones were cancelled; 6 = the
-#: --shed-after quota refused at least one question.  Precedence when
-#: several apply: 5 > 6 > 4 > 3.
+#: were journaled, not-yet-started ones were cancelled.  Precedence
+#: when several apply: 5 > 4 > 3.
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_DEGRADED = 3
 EXIT_NO_FALLBACK = 4
 EXIT_DRAINED = 5
-EXIT_SHED = 6
 
 #: Environment hook: run the whole CLI on a ManualClock, so every
 #: reported duration is deterministically 0.0 -- the kill/resume
@@ -108,7 +105,7 @@ _EXIT_ENVELOPES: dict[int, tuple[str, str]] = {
     EXIT_DEGRADED: (
         "DegradedResult",
         "the run completed but at least one answer was degraded "
-        "(partial, failed, baseline-fallback, or cancelled)",
+        "(partial, failed, or baseline-fallback)",
     ),
     EXIT_NO_FALLBACK: (
         "ResilienceExhausted",
@@ -119,10 +116,6 @@ _EXIT_ENVELOPES: dict[int, tuple[str, str]] = {
         "BatchDrained",
         "a drain signal stopped the run; in-flight questions "
         "finished, the rest were cancelled",
-    ),
-    EXIT_SHED: (
-        "LoadShed",
-        "admission control refused at least one question",
     ),
 }
 
@@ -340,33 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads for the batch (default: 1, inline "
         "sequential); results are always in submission order",
-    )
-    parallel.add_argument(
-        "--queue-size",
-        dest="queue_size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound on the submission queue (default: 2*workers); "
-        "submission blocks -- backpressure -- when it is full",
-    )
-    parallel.add_argument(
-        "--shed-after",
-        dest="shed_after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admit at most N questions; the rest are shed as "
-        "explicit 'shed' outcomes (exit code 6), never dropped",
-    )
-    parallel.add_argument(
-        "--batch-deadline",
-        dest="batch_deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline for the whole batch; on expiry "
-        "in-flight questions finish, the rest are cancelled",
     )
     _add_common_options(explain)
 
@@ -608,8 +574,6 @@ def _run_explain(args, writer: OutputWriter) -> int:
         or args.fallback_baseline
         or args.journal
         or args.workers > 1
-        or args.shed_after is not None
-        or args.batch_deadline is not None
     ):
         # every resilience feature runs through the outcome-producing
         # batch path, even for a single question
@@ -660,10 +624,8 @@ def _run_explain_batch(
     failure; one bad question never drops the rest of the batch.  The
     exit code is 3 (not 0) when any question failed or was degraded,
     and 4 when --fallback-baseline was given but a question still got
-    no answer (the baseline failed on it too).  Parallel batches add
-    two more: 5 when a SIGINT/SIGTERM triggered a graceful drain, 6
-    when the --shed-after quota refused at least one question
-    (precedence 5 > 6 > 4 > 3).
+    no answer (the baseline failed on it too), and 5 when a
+    SIGINT/SIGTERM triggered a graceful drain (precedence 5 > 4 > 3).
     """
     from .relational import EvaluationCache
 
@@ -708,9 +670,6 @@ def _run_explain_batch(
             fallback_baseline=args.fallback_baseline,
             journal=journal,
             workers=args.workers,
-            queue_size=args.queue_size,
-            shed_after=args.shed_after,
-            batch_deadline_s=args.batch_deadline,
             cancel=cancel,
         )
     finally:
@@ -720,7 +679,6 @@ def _run_explain_batch(
             journal.close()
     degraded = False
     unanswered = False
-    shed = False
     for question, outcome in zip(questions, outcomes):
         writer.append("outcomes", outcome.to_dict())
         writer.line(f"why-not {question}")
@@ -740,15 +698,11 @@ def _run_explain_batch(
             writer.line("  degraded to Why-Not baseline:")
             writer.block(outcome.baseline.summary())
             degraded = True
-        elif outcome.degradation_level in ("shed", "cancelled"):
-            # admission-side outcomes: the question never ran, and
-            # that is reported explicitly, never silently dropped
-            writer.line(
-                f"  {outcome.degradation_level.upper()}: "
-                f"{outcome.failure.describe()}"
-            )
+        elif outcome.degradation_level == "cancelled":
+            # a drain stopped the batch before this question started:
+            # reported explicitly, never silently dropped
+            writer.line(f"  CANCELLED: {outcome.failure.describe()}")
             degraded = True
-            shed = shed or outcome.degradation_level == "shed"
         else:
             writer.line(f"  FAILED: {outcome.failure.describe()}")
             degraded = True
@@ -807,8 +761,6 @@ def _run_explain_batch(
             "questions finished, the rest were cancelled"
         )
         return EXIT_DRAINED
-    if shed:
-        return EXIT_SHED
     if args.fallback_baseline and unanswered:
         return EXIT_NO_FALLBACK
     return EXIT_DEGRADED if degraded else EXIT_OK

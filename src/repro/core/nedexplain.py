@@ -38,7 +38,6 @@ from ..errors import (
     CancelledError,
     ConfigurationError,
     EvaluationError,
-    LoadShedError,
     ReproError,
     WhyNotQuestionError,
 )
@@ -397,9 +396,6 @@ class NedExplain:
         fallback_baseline: bool = False,
         journal: BatchJournal | None = None,
         workers: int = 1,
-        queue_size: int | None = None,
-        shed_after: int | None = None,
-        batch_deadline_s: float | None = None,
         cancel: CancellationToken | None = None,
     ) -> tuple[QuestionOutcome | ReplayedOutcome, ...]:
         """Fault-isolating batch: one outcome per question.
@@ -432,44 +428,25 @@ class NedExplain:
             A parallel batch appends in completion order; resume is by
             question identity (index + digest), so the merged result
             is still identical to an uninterrupted run.
-
-        Concurrency knobs (all optional; ``workers=1`` runs the same
-        admission policy inline and is byte-identical to the historical
-        sequential loop):
-
-        *workers* / *queue_size*
-            size of the supervised worker pool and of its bounded
-            submission queue (see
-            :class:`~repro.robustness.executor.ParallelExecutor`).
-            Ambient context (clock, tracer, budget context, fault
-            scope) propagates to every worker; per-worker tracers and
-            metrics are merged back into the caller's.  Outcomes are
-            returned in submission order, and under a
+        *workers*
+            size of the worker pool (see
+            :class:`~repro.robustness.executor.ParallelExecutor`);
+            ``workers=1`` runs the same loop inline.  Ambient context
+            (clock, tracer, budget context, fault scope) propagates to
+            every worker; per-worker tracers and metrics are merged
+            back into the caller's.  Outcomes are returned in
+            submission order, and under a
             :class:`~repro.obs.clock.ManualClock` a ``workers=N`` run
             is byte-identical to the sequential one.
-        *shed_after*
-            admission quota: questions beyond the first *shed_after*
-            non-replayed ones resolve to explicit ``"shed"`` outcomes
-            without doing any work (never silently dropped).
-        *batch_deadline_s*
-            whole-batch deadline on the ambient clock; per-question
-            budgets are capped to the remaining batch time, and
-            questions that have not started when it expires resolve to
-            explicit ``"cancelled"`` outcomes.
         *cancel*
             a :class:`~repro.robustness.executor.CancellationToken`
             (e.g. set from a SIGINT/SIGTERM handler): setting it drains
             the batch gracefully -- in-flight questions finish and are
             journalled, unstarted ones become ``"cancelled"`` outcomes.
+            The batch only reads the token, never sets it.
         """
         effective = budget if budget is not None else self.config.budget
-        executor = ParallelExecutor(
-            workers=workers,
-            queue_size=queue_size,
-            shed_after=shed_after,
-            batch_deadline_s=batch_deadline_s,
-            cancel=cancel,
-        )
+        executor = ParallelExecutor(workers=workers, cancel=cancel)
 
         def _replay(index, predicate):
             if journal is None:
@@ -480,29 +457,13 @@ class NedExplain:
             return ReplayedOutcome(question=predicate, record=record)
 
         def _resolve(index, predicate):
-            question_budget = self._capped_budget(
-                effective, executor.remaining_s()
-            )
             return self._resolve_outcome(
-                predicate, question_budget, fallback_baseline
+                predicate, effective, fallback_baseline
             )
 
         def _record(index, predicate, outcome):
             if journal is not None:
                 journal.record(index, str(predicate), outcome.to_dict())
-
-        def _on_shed(index, predicate):
-            error = LoadShedError(
-                f"question shed by admission quota "
-                f"(shed_after={shed_after})",
-                index=index,
-            )
-            return QuestionOutcome(
-                question=predicate,
-                failure=FailureInfo.from_error(error),
-                error=error,
-                degradation_level="shed",
-            )
 
         def _on_cancelled(index, predicate, reason):
             error = CancelledError(
@@ -522,30 +483,8 @@ class NedExplain:
                 _resolve,
                 replay=_replay,
                 record=_record,
-                on_shed=_on_shed,
                 on_cancelled=_on_cancelled,
             )
-        )
-
-    @staticmethod
-    def _capped_budget(
-        base: Budget | None, remaining_s: float | None
-    ) -> Budget | None:
-        """Cap a per-question budget to the remaining batch deadline."""
-        if remaining_s is None:
-            return base
-        # Budget requires a positive deadline; the executor cancels
-        # unstarted questions once the deadline passes, so a question
-        # caught in the tiny gap just gets an immediately-exhausted one.
-        remaining_s = max(remaining_s, 1e-9)
-        if base is None:
-            return Budget(deadline_s=remaining_s)
-        if base.deadline_s is not None and base.deadline_s <= remaining_s:
-            return base
-        return Budget(
-            deadline_s=remaining_s,
-            max_rows=base.max_rows,
-            max_comparisons=base.max_comparisons,
         )
 
     def _resolve_outcome(

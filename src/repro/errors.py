@@ -143,27 +143,21 @@ class InjectedFaultError(ReproError):
 
 
 class LoadShedError(ReproError):
-    """A question was refused admission by the load-shedding policy.
+    """An HTTP request was refused by the service's admission gate.
 
-    Raised (as the structured ``error`` of a shed
-    :class:`~repro.robustness.outcomes.QuestionOutcome`, never as an
-    escaping exception) when a batch runs with ``shed_after=N`` and the
-    question arrived after the admission quota was spent.  A shed
-    question did no work at all -- re-submitting it without the quota
-    produces the normal answer.
+    Raised by :class:`~repro.service.state.AdmissionGate` when
+    ``serve --shed-after N`` requests are already in flight; the server
+    maps it to ``429`` + ``Retry-After``.  A shed request did no work
+    at all -- re-sending it later produces the normal answer.
     """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 class CancelledError(ReproError):
     """A question was cancelled before it started.
 
     Attached to the explicit ``cancelled`` outcomes a draining batch
-    produces for its not-yet-started questions -- after a SIGINT/SIGTERM
-    drain request or once the batch deadline passed.  In-flight
+    produces for its not-yet-started questions after a SIGINT/SIGTERM
+    drain request.  In-flight
     questions are never interrupted (cancellation is cooperative); a
     cancelled question simply never ran and can be recomputed by a
     resumed batch.

@@ -26,10 +26,10 @@ batches durable and concurrent:
   fsync-per-record write-ahead log that lets a killed batch resume
   where it died;
 * :mod:`~repro.robustness.executor` -- :class:`ParallelExecutor` /
-  :class:`CancellationToken`: the supervised worker pool behind
-  ``NedExplain.explain_each(workers=N)``, with bounded-queue
-  backpressure, deterministic load shedding, batch deadlines, and
-  graceful signal-triggered drains.
+  :class:`CancellationToken`: the plain worker pool behind
+  ``NedExplain.explain_each(workers=N)``.  Outcomes come back in
+  question order; the caller's token is the only outside stop (a
+  graceful SIGINT/SIGTERM drain), and the pool only reads it.
 """
 
 from ..errors import (

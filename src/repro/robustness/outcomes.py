@@ -16,13 +16,10 @@ failed and the Why-Not baseline answered; the answer lives in
 ``outcome.baseline``, the triggering error in ``outcome.failure``),
 or ``"failed"`` (nothing produced an answer).
 
-The parallel executor (PR 5) adds two explicit admission-side levels:
-``"shed"`` (the question was refused by the load-shedding quota and
-did no work -- never silently dropped, always an outcome carrying a
-:class:`~repro.errors.LoadShedError`) and ``"cancelled"`` (a
-cooperative drain -- SIGINT/SIGTERM or an expired batch deadline --
-stopped the batch before this question started; in-flight questions
-always finish, so a cancelled question simply never ran).
+A batch adds one more level, ``"cancelled"``: a cooperative drain
+(SIGINT/SIGTERM, or the service shutting down) stopped the batch
+before this question started.  In-flight questions always finish, so a
+cancelled question simply never ran.
 """
 
 from __future__ import annotations
@@ -37,16 +34,14 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.core / repro.baseline
     from ..baseline.whynot import WhyNotBaselineReport
     from ..core.answers import NedExplainReport
 
-#: The rungs of the degradation ladder, best first.  ``shed`` and
-#: ``cancelled`` are admission-side rungs of parallel batches: the
-#: question produced no answer because it was never *started* (quota
-#: refusal / cooperative drain), not because execution failed.
+#: The rungs of the degradation ladder, best first.  ``cancelled``
+#: is the one rung that is not about execution: the question produced
+#: no answer because a drain stopped the batch before it *started*.
 DEGRADATION_LEVELS: tuple[str, ...] = (
     "full",
     "partial",
     "baseline",
     "failed",
-    "shed",
     "cancelled",
 )
 

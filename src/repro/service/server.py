@@ -241,7 +241,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise ConfigurationError(
+                f"Content-Length must be an integer, got {raw_length!r}"
+            ) from None
         if length <= 0:
             raise ConfigurationError(
                 "request needs a JSON body (Content-Length missing "

@@ -73,9 +73,8 @@ DEGRADATION_SEVERITY: dict[str, int] = {
     "full": 0,
     "partial": 1,
     "baseline": 2,
-    "shed": 3,
-    "cancelled": 4,
-    "failed": 5,
+    "cancelled": 3,
+    "failed": 4,
 }
 
 #: Request ids become journal file names; keep them boring.
@@ -83,6 +82,11 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
 #: Database names key registries and the persisted registration file.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+
+#: Every field a batch body may carry; any other is refused by name.
+_BATCH_FIELDS: tuple[str, ...] = (
+    "database", "sql", "why_not", "request_id", "workers", "budget"
+)
 
 
 #: Storage backend selections understood by ``--storage``.
@@ -184,8 +188,7 @@ class AdmissionGate:
     :meth:`acquire` raises :class:`~repro.errors.LoadShedError`
     *immediately* -- the pending "queue" of a thread-per-request server
     is its admitted-but-running request set, and refusing fast beats
-    parking client threads without bound (the same never-silently-drop
-    policy as :class:`~repro.robustness.executor.ParallelExecutor`).
+    parking client threads without bound.
     """
 
     def __init__(self, limit: int | None):
@@ -513,6 +516,47 @@ class ServiceState:
         request id already has a completed result (idempotent retry:
         the stored result is served, nothing re-runs).
         """
+        request_id = body.get("request_id") or uuid.uuid4().hex[:16]
+        if not _REQUEST_ID_RE.match(str(request_id)):
+            raise ConfigurationError(
+                f"request_id must match {_REQUEST_ID_RE.pattern}, got "
+                f"{request_id!r}"
+            )
+        manifest = dict(body)
+        manifest["request_id"] = request_id
+        # validate every field, and the engine inputs, before making
+        # the request durable: a manifest on disk is re-run on restart
+        self._batch_workers(manifest)
+        self.engine_for(manifest["database"], manifest["sql"])
+        if self.backend is not None:
+            existing = self._stored_result(request_id)
+            if existing is not None:
+                return existing, False
+            self.backend.write_document(
+                self._manifest_name(request_id), manifest
+            )
+        document = self._run_batch(request_id, manifest)
+        return document, True
+
+    def _batch_workers(self, body: Any) -> int:
+        """Validate a batch body; the worker count it runs with.
+
+        Checked on a request before its manifest is written and again
+        on every manifest a batch runs from, so a bad manifest already
+        on disk (hand-edited, or from an older version) fails with a
+        :class:`~repro.errors.ConfigurationError` that :meth:`recover`
+        reports on ``/readyz``.  ``workers`` must be an int >= 1 and is
+        capped at the server's ``--workers``.
+        """
+        if not isinstance(body, Mapping):
+            raise ConfigurationError("a batch body must be a JSON object")
+        for field in body:
+            if field not in _BATCH_FIELDS:
+                raise ConfigurationError(
+                    f"unknown batch field {field!r}; a batch body "
+                    f"takes {', '.join(_BATCH_FIELDS)} (bound each "
+                    "question with budget.deadline_ms)"
+                )
         questions = body.get("why_not")
         if (
             not isinstance(questions, list)
@@ -524,29 +568,19 @@ class ServiceState:
             raise ConfigurationError(
                 "why_not must be a non-empty list of predicate strings"
             )
-        request_id = body.get("request_id") or uuid.uuid4().hex[:16]
-        if not _REQUEST_ID_RE.match(str(request_id)):
-            raise ConfigurationError(
-                f"request_id must match {_REQUEST_ID_RE.pattern}, got "
-                f"{request_id!r}"
-            )
-        manifest = dict(body)
-        manifest["request_id"] = request_id
-        # validate the engine inputs before making the request durable
-        self.engine_for(
-            self._required_str(body, "database"),
-            self._required_str(body, "sql"),
-        )
+        self._required_str(body, "database")
+        self._required_str(body, "sql")
         Budget.from_request(body.get("budget"))
-        if self.backend is not None:
-            existing = self._stored_result(request_id)
-            if existing is not None:
-                return existing, False
-            self.backend.write_document(
-                self._manifest_name(request_id), manifest
+        workers = body.get("workers", 1)
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or workers < 1
+        ):
+            raise ConfigurationError(
+                f"workers must be an integer >= 1, got {workers!r}"
             )
-        document = self._run_batch(manifest)
-        return document, True
+        return min(workers, self.config.workers)
 
     @staticmethod
     def _manifest_name(request_id: str) -> str:
@@ -597,14 +631,12 @@ class ServiceState:
             f"unknown batch request {request_id!r}", status=404
         )
 
-    def _run_batch(self, manifest: Mapping[str, Any]) -> dict:
-        request_id = manifest["request_id"]
+    def _run_batch(
+        self, request_id: str, manifest: Mapping[str, Any]
+    ) -> dict:
+        workers = self._batch_workers(manifest)
         questions = list(manifest["why_not"])
-        workers = min(
-            int(manifest.get("workers", 1)), self.config.workers
-        )
         budget = Budget.from_request(manifest.get("budget"))
-        batch_deadline = manifest.get("batch_deadline_ms")
         _, engine = self.engine_for(
             manifest["database"], manifest["sql"]
         )
@@ -619,12 +651,6 @@ class ServiceState:
                 budget=budget,
                 journal=journal,
                 workers=workers,
-                shed_after=manifest.get("shed_after"),
-                batch_deadline_s=(
-                    float(batch_deadline) / 1000.0
-                    if batch_deadline is not None
-                    else None
-                ),
                 cancel=self.cancel,
             )
             replayed = journal.replayable_count if journal else 0
@@ -687,7 +713,7 @@ class ServiceState:
                 manifest = self.backend.read_document(manifest_name)
                 if manifest is None:
                     continue  # raced away between list and read
-                self._run_batch(manifest)
+                self._run_batch(request_id, manifest)
             except (ReproError, OSError, json.JSONDecodeError) as exc:
                 self.metrics.counter(
                     "service.recovery.failed"
@@ -744,11 +770,11 @@ class ServiceState:
     def begin_drain(self, reason: str) -> bool:
         """Flip the service into draining; True iff this call did it.
 
-        Readiness goes 503 immediately; in-flight batch executors see
-        the shared :class:`CancellationToken` and finish their running
-        questions while cancelling unstarted ones (the executor's
-        cooperative-drain path); unstarted questions are *not*
-        journaled, so a later restart recomputes them.
+        Readiness goes 503 immediately; in-flight batches read the
+        shared :class:`CancellationToken` and finish their running
+        questions while cancelling unstarted ones; unstarted questions
+        are *not* journaled, so a later restart recomputes them.  Only
+        this method sets the token.
         """
         with self._drain_lock:
             if self.draining:

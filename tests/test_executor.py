@@ -1,10 +1,10 @@
-"""Unit tests for the supervised parallel batch executor.
+"""Unit tests for the worker-pool batch executor.
 
 :class:`~repro.robustness.ParallelExecutor` is exercised directly with
-synthetic resolve functions (ordering, backpressure, shedding,
-cancellation, context propagation, tracer merging) and through
+synthetic resolve functions (ordering, cancellation, error supervision,
+context propagation, tracer merging) and through
 ``NedExplain.explain_each(workers=N)`` for the engine-level guarantees
-(thread-local state, shed/cancelled outcome shapes).  The heavyweight
+(thread-local state, cancelled outcome shapes).  The heavyweight
 determinism differentials live in test_chaos.py; the CLI-level drain
 and kill/resume proofs in test_journal_resume.py.
 """
@@ -12,6 +12,7 @@ and kill/resume proofs in test_journal_resume.py.
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 import time
 
@@ -21,7 +22,6 @@ from repro.core import NedExplain, canonicalize
 from repro.errors import (
     CancelledError,
     ConfigurationError,
-    LoadShedError,
     ReproError,
 )
 from repro.obs import ManualClock, Tracer, tracing, use_clock
@@ -42,10 +42,6 @@ def _engine():
 
 def _cancelled(index, item, reason):
     return ("cancelled", index, reason)
-
-
-def _shed(index, item):
-    return ("shed", index)
 
 
 # ---------------------------------------------------------------------------
@@ -92,30 +88,20 @@ class TestValidation:
         [
             {"workers": 0},
             {"workers": -2},
-            {"queue_size": 0},
-            {"shed_after": -1},
-            {"batch_deadline_s": 0.0},
-            {"batch_deadline_s": -5.0},
+            {"workers": True},
+            {"workers": 1.5},
+            {"workers": "2"},
+            {"workers": None},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(**kwargs)
 
-    def test_shed_after_requires_on_shed(self):
-        executor = ParallelExecutor(shed_after=1)
-        with pytest.raises(ConfigurationError):
-            executor.run([1, 2], lambda i, x: x, on_cancelled=_cancelled)
-
     def test_on_cancelled_is_required(self):
         executor = ParallelExecutor()
         with pytest.raises(ConfigurationError):
             executor.run([1], lambda i, x: x)
-
-    def test_default_queue_size_tracks_workers(self):
-        assert ParallelExecutor(workers=4).queue_size == 8
-        assert ParallelExecutor(workers=1).queue_size == 2
-        assert ParallelExecutor(workers=4, queue_size=3).queue_size == 3
 
 
 # ---------------------------------------------------------------------------
@@ -177,45 +163,7 @@ class TestOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Load shedding
-# ---------------------------------------------------------------------------
-class TestShedding:
-    def test_quota_sheds_the_tail_deterministically(self):
-        executor = ParallelExecutor(workers=4, shed_after=3)
-        results = executor.run(
-            list(range(6)),
-            lambda i, x: ("ok", x),
-            on_shed=_shed,
-            on_cancelled=_cancelled,
-        )
-        assert results[:3] == [("ok", 0), ("ok", 1), ("ok", 2)]
-        assert results[3:] == [("shed", 3), ("shed", 4), ("shed", 5)]
-
-    def test_shed_after_zero_sheds_everything(self):
-        results = ParallelExecutor(workers=2, shed_after=0).run(
-            [1, 2],
-            lambda i, x: x,
-            on_shed=_shed,
-            on_cancelled=_cancelled,
-        )
-        assert results == [("shed", 0), ("shed", 1)]
-
-    def test_replayed_items_do_not_consume_the_quota(self):
-        replay = lambda index, item: (  # noqa: E731
-            ("replayed", index) if index == 0 else None
-        )
-        results = ParallelExecutor(workers=2, shed_after=1).run(
-            [10, 11, 12],
-            lambda i, x: ("ok", x),
-            replay=replay,
-            on_shed=_shed,
-            on_cancelled=_cancelled,
-        )
-        assert results == [("replayed", 0), ("ok", 11), ("shed", 2)]
-
-
-# ---------------------------------------------------------------------------
-# Cancellation, drain, batch deadline
+# Cancellation, drain, error supervision
 # ---------------------------------------------------------------------------
 class TestCancellation:
     def test_precancelled_token_cancels_everything(self):
@@ -255,12 +203,12 @@ class TestCancellation:
 
         trigger_thread = threading.Thread(target=trigger)
         trigger_thread.start()
-        # two workers, tiny queue: at most a handful of items are in
-        # flight or queued when the drain begins; the tail is not
-        results = ParallelExecutor(
-            workers=2, queue_size=1, cancel=token
-        ).run(list(range(8)), resolve, record=record,
-              on_cancelled=_cancelled)
+        # two workers: at most two items are in flight when the drain
+        # begins; the tail is not
+        results = ParallelExecutor(workers=2, cancel=token).run(
+            list(range(8)), resolve, record=record,
+            on_cancelled=_cancelled,
+        )
         trigger_thread.join()
 
         finished = [r for r in results if r[0] == "ok"]
@@ -274,38 +222,62 @@ class TestCancellation:
             assert r[2] == "drain now"
             assert r[1] not in recorded  # never journalled
 
-    def test_batch_deadline_cancels_unstarted_items(self):
-        clock = ManualClock()
-        with use_clock(clock):
-            executor = ParallelExecutor(workers=1, batch_deadline_s=10.0)
-
-            def resolve(index, item):
-                clock.advance(6.0)  # two items overrun the deadline
-                return ("ok", index)
-
-            results = executor.run(
-                list(range(4)), resolve, on_cancelled=_cancelled
-            )
-        assert results[0] == ("ok", 0)
-        assert results[1] == ("ok", 1)
-        assert results[2:] == [
-            ("cancelled", 2, "batch deadline exceeded"),
-            ("cancelled", 3, "batch deadline exceeded"),
-        ]
-
     def test_worker_exception_is_supervised_and_reraised(self):
         def resolve(index, item):
             if index == 3:
                 raise RuntimeError("worker blew up")
             return index
 
-        executor = ParallelExecutor(workers=4)
+        token = CancellationToken()
+        executor = ParallelExecutor(workers=4, cancel=token)
         with pytest.raises(RuntimeError, match="worker blew up"):
             executor.run(
                 list(range(8)), resolve, on_cancelled=_cancelled
             )
-        # supervision closed admission so the pool wound down
-        assert executor.cancel.cancelled
+        # the error stopped that batch only: the caller's token, which
+        # outlives the batch, is never written by the pool
+        assert not token.cancelled
+        assert executor.run(
+            [1, 2], lambda i, x: -x, on_cancelled=_cancelled
+        ) == [-1, -2]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_lowest_index_error_is_reraised(self, workers):
+        def resolve(index, item):
+            if index == 5:
+                raise RuntimeError("late failure")
+            if index == 2:
+                time.sleep(0.01)  # finish after index 5 has failed
+                raise RuntimeError("early failure")
+            return index
+
+        with pytest.raises(RuntimeError, match="early failure"):
+            ParallelExecutor(workers=workers).run(
+                list(range(8)), resolve, on_cancelled=_cancelled
+            )
+
+    def test_every_index_is_taken_exactly_once_under_contention(self):
+        # more workers than cores and a tiny switch interval: a lost
+        # update on the shared index counter would resolve an item
+        # twice or skip one
+        seen = []
+        lock = threading.Lock()
+
+        def resolve(index, item):
+            with lock:
+                seen.append(index)
+            return item * 2
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = ParallelExecutor(workers=16).run(
+                list(range(400)), resolve, on_cancelled=_cancelled
+            )
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(seen) == list(range(400))
+        assert results == [item * 2 for item in range(400)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +331,9 @@ class TestContextPropagation:
 # Engine-level integration: explain_each(workers=N)
 # ---------------------------------------------------------------------------
 class TestEngineIntegration:
-    def test_shed_and_cancelled_outcome_shapes(self):
+    def test_cancelled_outcome_shapes(self):
         engine = _engine()
         token = CancellationToken()
-        shed = engine.explain_each(
-            QUESTIONS, workers=2, shed_after=1
-        )
-        assert shed[0].ok
-        for outcome in shed[1:]:
-            assert outcome.degradation_level == "shed"
-            assert not outcome.ok
-            assert isinstance(outcome.error, LoadShedError)
-            assert outcome.failure.error_class == "LoadShedError"
-
         token.cancel("test drain")
         cancelled = engine.explain_each(
             QUESTIONS, workers=2, cancel=token
@@ -397,13 +359,3 @@ class TestEngineIntegration:
         assert not outcomes[1].ok
         assert isinstance(outcomes[1].error, ReproError)
         assert outcomes[1].degradation_level == "failed"
-
-    def test_batch_deadline_caps_question_budgets(self):
-        engine = _engine()
-        clock = ManualClock()
-        with use_clock(clock):
-            outcomes = engine.explain_each(
-                QUESTIONS, workers=1, batch_deadline_s=5.0
-            )
-        # nothing advanced the clock, so nothing was cancelled
-        assert all(o.ok for o in outcomes)

@@ -510,7 +510,7 @@ class TestCliErrorEnvelope:
     """Every nonzero ``--json`` exit carries one stable error envelope:
     ``document["error"] == {"type", "message", "exit_code"}``.  Scripted
     callers branch on this shape for *every* failure mode -- fatal (2),
-    degraded (3), resilience-exhausted (4), drained (5), shed (6) --
+    degraded (3), resilience-exhausted (4), drained (5) --
     instead of scraping stderr."""
 
     def _document(self, capsys):
@@ -623,18 +623,3 @@ class TestCliErrorEnvelope:
         document = self._document(capsys)
         self._assert_envelope(document, 5, "BatchDrained")
         assert document["drained_by"] == "SIGINT"
-
-    def test_exit_6_shed(
-        self, running_example_db, tmp_path, capsys
-    ):
-        save_database(running_example_db, tmp_path / "db")
-        code = main(
-            self._base_args(tmp_path)
-            + [
-                "--why-not", "(A.name: Homer)",
-                "--why-not", "(A.name: Vergil)",
-                "--shed-after", "1",
-            ]
-        )
-        assert code == 6
-        self._assert_envelope(self._document(capsys), 6, "LoadShed")

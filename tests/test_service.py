@@ -44,7 +44,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import ManualClock, use_clock
-from repro.robustness import Budget, FaultPlan, inject
+from repro.robustness import BatchJournal, Budget, FaultPlan, inject
 from repro.service import (
     AdmissionGate,
     QuotaRegistry,
@@ -571,6 +571,128 @@ class TestLiveServer:
             assert replay.body["cached_result"] is True
             stored = client.batch_result("http-batch")
             assert stored.body["outcomes"] == first.body["outcomes"]
+
+    def test_non_numeric_content_length_is_400(self):
+        with _live_server() as (httpd, client):
+            port = httpd.server_address[1]
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.settimeout(15)
+                sock.sendall(
+                    b"POST /v1/explain HTTP/1.1\r\n"
+                    b"Host: t\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: abc\r\n"
+                    b"Connection: close\r\n"
+                    b"\r\n"
+                )
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+            assert b" 400 " in head.splitlines()[0]
+            error = json.loads(payload)["error"]
+            assert error["type"] == "ConfigurationError"
+            assert "Content-Length" in error["message"]
+            assert client.healthz().status == 200
+
+
+# ---------------------------------------------------------------------------
+# batch requests: field validation and isolation between batches
+# ---------------------------------------------------------------------------
+class TestBatchRequests:
+    def test_failed_journal_append_leaves_later_batches_alone(
+        self, monkeypatch
+    ):
+        """An internal error stops its own batch only: the service's
+        drain token outlives every batch and must stay unset, so the
+        next batch on the same state is answered in full."""
+        state = ServiceState(ServiceConfig(storage="memory"))
+        state.ready.set()
+        state.register_database(REGISTER)
+        record = BatchJournal.record
+        calls = []
+
+        def fail_first_append(journal, index, question, outcome):
+            calls.append(index)
+            if len(calls) == 1:
+                raise JournalError("injected append failure")
+            record(journal, index, question, outcome)
+
+        monkeypatch.setattr(BatchJournal, "record", fail_first_append)
+        with pytest.raises(JournalError, match="injected"):
+            state.explain_batch(_batch_body(request_id="fails", workers=2))
+        assert not state.cancel.cancelled
+        for workers in (2, 1):
+            document, fresh = state.explain_batch(
+                _batch_body(request_id=f"next-{workers}", workers=workers)
+            )
+            assert fresh
+            assert document["degradation_level"] == "full"
+            assert all(o["ok"] for o in document["outcomes"])
+        assert not state.cancel.cancelled
+        ready, readiness = state.ready_document()
+        assert ready and readiness["status"] == "ready"
+
+    def test_bad_batch_fields_are_400_and_leave_nothing_durable(
+        self, tmp_path
+    ):
+        journal_dir = tmp_path / "journal"
+        bad_fields = [
+            {"workers": "x"},
+            {"workers": 0},
+            {"workers": -1},
+            {"workers": True},
+            {"shed_after": 1},
+            {"batch_deadline_ms": 1000},
+        ]
+        with _live_server(journal_dir=journal_dir) as (httpd, client):
+            client.register_database(REGISTER)
+            for n, extra in enumerate(bad_fields):
+                request_id = f"bad-{n}"
+                response = client.explain_batch(
+                    _batch_body(request_id=request_id, **extra)
+                )
+                assert response.status == 400, extra
+                assert response.error["type"] == "ConfigurationError"
+                (field,) = extra
+                assert field in response.error["message"]
+                assert not (
+                    journal_dir / f"{request_id}.request.json"
+                ).exists()
+                assert not (
+                    journal_dir / f"{request_id}.journal.jsonl"
+                ).exists()
+            good = client.explain_batch(
+                _batch_body(request_id="good", workers=2)
+            )
+            assert good.status == 200
+
+    def test_bad_manifests_on_disk_are_reported_not_raised(
+        self, tmp_path
+    ):
+        journal_dir = tmp_path / "journal"
+        state = ServiceState(ServiceConfig(journal_dir=journal_dir))
+        state.register_database(REGISTER)
+        manifests = {
+            "word-workers": _batch_body(workers="x"),
+            "zero-workers": _batch_body(workers=0),
+            "old-shed": _batch_body(shed_after=1),
+            "no-questions": {"database": "crime", "sql": SQL},
+            "not-an-object": ["a", "list"],
+        }
+        for request_id, manifest in manifests.items():
+            (journal_dir / f"{request_id}.request.json").write_text(
+                json.dumps(manifest)
+            )
+        restarted = ServiceState(ServiceConfig(journal_dir=journal_dir))
+        assert restarted.recover() == []
+        restarted.ready.set()
+        ready, document = restarted.ready_document()
+        assert ready
+        errors = document["recovery_errors"]
+        assert len(errors) == len(manifests)
+        for request_id in manifests:
+            assert any(e.startswith(f"{request_id}:") for e in errors)
 
 
 # ---------------------------------------------------------------------------
