@@ -19,15 +19,22 @@ The :class:`CompatibleFinder` mirrors the paper's implementation note:
 it retrieves candidates through hash-index lookups on ``I_Q`` itself
 (the ``SELECT A.aid FROM A WHERE A.name = 'Homer'`` of Ex. 3.1)
 instead of scanning the instance, whichever engine built ``I_Q``.
+Range and residual conditions get no index; instead, Def. 2.8 is
+decided once per distinct value of the shared attributes, since the
+decision reads nothing else of the tuple.  The memo is keyed by
+``(type(v), v)``, not by the index's ``==`` buckets: ``1`` and
+``True`` share a bucket, yet ``$x >= 0`` holds for one and not the
+other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ..obs.trace import current_tracer
-from ..relational.conditions import Var, is_satisfiable
+from ..relational.conditions import Condition, Var, is_satisfiable
 from ..robustness.budget import current_context
 from ..robustness.faults import fault_point
 from ..relational.instance import DatabaseInstance
@@ -51,9 +58,10 @@ class CompatibilitySets:
     #: identifiers of every tuple of the indirect relations
     indir_tids: frozenset[str]
 
-    @property
+    @cached_property
     def valid_tids(self) -> frozenset[str]:
-        """``D = Dir_tc | InDir_tc`` as a set of base-tuple ids."""
+        """``D = Dir_tc | InDir_tc`` as a set of base-tuple ids
+        (built once: every node of the traversal reads it)."""
         return self.dir_tids | self.indir_tids
 
     def direct_tuples(self) -> tuple[Tuple, ...]:
@@ -81,17 +89,28 @@ def tuple_matches_ctuple(t: Tuple, tc: CTuple) -> bool:
     shared = t.type & tc.type
     if not shared:
         return False
+    return _values_match(
+        [tc.entry(attr) for attr in shared],
+        tc.condition,
+        [t[attr] for attr in shared],
+    )
+
+
+def _values_match(
+    entries: Sequence[Value | Var],
+    condition: Condition,
+    values: Sequence[Value],
+) -> bool:
+    """Def. 2.8 (2) for a tuple's *values* on the shared *entries*."""
     bound: dict[str, Value] = {}
-    for attr in shared:
-        entry = tc.entry(attr)
-        value = t[attr]
+    for entry, value in zip(entries, values):
         if isinstance(entry, Var):
             if entry.name in bound and bound[entry.name] != value:
                 return False
             bound[entry.name] = value
         elif entry != value:
             return False
-    return is_satisfiable(tc.condition, bound)
+    return is_satisfiable(condition, bound)
 
 
 class CompatibleFinder:
@@ -101,7 +120,8 @@ class CompatibleFinder:
     alias).  Constant constraints of the c-tuple are served by the
     relations' hash indexes (:meth:`RelationInstance.lookup`, the
     paper's ``SELECT ... WHERE`` of Ex. 3.1); only those candidates are
-    checked against the full c-tuple.
+    checked against the full c-tuple, once per distinct value of the
+    shared attributes.
     """
 
     def __init__(self, instance: DatabaseInstance):
@@ -139,11 +159,8 @@ class CompatibleFinder:
         dir_tids = frozenset(
             t.tid for hits in direct.values() for t in hits if t.tid
         )
-        indir_tids = frozenset(
-            t.tid
-            for alias in indirect_aliases
-            for t in self.instance.relation(alias)
-            if t.tid
+        indir_tids = frozenset().union(
+            *(self.instance.relation(alias).tids for alias in indirect_aliases)
         )
         return CompatibilitySets(
             ctuple=tc,
@@ -176,4 +193,20 @@ class CompatibleFinder:
         context = current_context()
         if context is not None:
             context.tick_comparisons(len(candidates))
-        return [t for t in candidates if tuple_matches_ctuple(t, tc)]
+        # every tuple of the relation has the relation's type, so the
+        # shared attributes -- all Def. 2.8 reads -- are the same for all
+        shared = sorted(relation.schema.type & tc.type)
+        entries = [tc.entry(attr) for attr in shared]
+        decided: dict[tuple, bool] = {}
+        hits: list[Tuple] = []
+        for t in candidates:
+            values = [t[attr] for attr in shared]
+            key = tuple([(type(v), v) for v in values])
+            ok = decided.get(key)
+            if ok is None:
+                ok = decided[key] = _values_match(
+                    entries, tc.condition, values
+                )
+            if ok:
+                hits.append(t)
+        return hits

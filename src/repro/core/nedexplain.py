@@ -673,6 +673,11 @@ class NedExplain:
                 entry.compatibles,
                 compat.valid_tids,
                 compat.dir_tids,
+                children=(
+                    self._shared.children_index(node)
+                    if self._shared is not None and entry.compatibles
+                    else None
+                ),
             )
             if parent is not None:
                 parent.add_compatibles(step.successors)
@@ -822,12 +827,13 @@ class NedExplain:
                 break
         if leaf_entry is None or not leaf_entry.input:
             return None  # empty stored relation: no d in I|S exists
-        prefix = f"{alias}:"
+        # the relation's own tids, not an ``alias:`` prefix: a
+        # hand-built instance may keep its tids verbatim
+        tids = self.instance.relation(alias).tids
         current: TabEntry | None = leaf_entry
         while current is not None and current.output is not None:
             alive = any(
-                any(tid.startswith(prefix) for tid in t.lineage)
-                for t in current.output
+                not tids.isdisjoint(t.lineage) for t in current.output
             )
             if not alive:
                 return current

@@ -10,6 +10,15 @@ the output tuples
 * that directly succeed at least one compatible input tuple (some
   parent is in ``m.Compatibles``).
 
+The second test is a join the engine answers, not a scan: a
+parent -> child index of the output
+(:func:`repro.relational.evaluator.children_index`, built once per
+node of a cached evaluation) yields the positions of the compatibles'
+children, and only those candidates are checked against ``D``.  A step
+thus costs the fan-out of its compatibles, not the size of the output.
+Candidates are visited in output order, so successors (and TabQ) keep
+the order a scan would give.
+
 The module also tracks, per *direct compatible origin* (a tuple of
 ``Dir_tc``), whether its trace is still alive -- the information the
 detailed answer (Def. 2.12) reports as ``(t_I, Q')`` pairs.
@@ -18,9 +27,10 @@ detailed answer (Def. 2.12) reports as ``(t_I, Q')`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..obs.trace import current_tracer
+from ..relational.evaluator import ChildPositions, children_index
 from ..relational.tuples import Tuple
 from ..robustness.budget import current_context
 
@@ -49,34 +59,40 @@ def find_successors(
     compatibles: Sequence[Tuple],
     valid_tids: frozenset[str],
     dir_tids: frozenset[str],
+    children: Mapping[Tuple, ChildPositions] | None = None,
 ) -> SuccessorStep:
     """Compute the valid successors of *compatibles* in *output*.
 
     Mirrors Alg. 3: an output tuple is kept when its lineage lies
     within ``valid_tids`` (``Dir | InDir``) and it derives directly
-    from a compatible input tuple.
+    from a compatible input tuple.  *children* is the parent -> child
+    index of *output* (:meth:`EvaluationResult.children_index`); it is
+    built from *output* when not given.
     """
+    if children is None and compatibles:
+        children = children_index(output)
+    #: candidate position -> whether its lineage lies within D
+    valid: dict[int, bool] = {}
+    blocked: list[Tuple] = []
+    for compatible in compatibles:
+        found = children.get(compatible, ())
+        if isinstance(found, int):
+            found = (found,)
+        alive = False
+        for position in found:
+            ok = valid.get(position)
+            if ok is None:
+                ok = valid[position] = output[position].lineage <= valid_tids
+            alive = alive or ok
+        if not alive:
+            blocked.append(compatible)
+    successors = [output[p] for p in sorted(valid) if valid[p]]
+    # one validity check per candidate child, one survival check per
+    # compatible input
+    checks = len(valid) + len(compatibles)
     context = current_context()
     if context is not None:
-        # one validity + derivation check per output candidate, one
-        # survival check per compatible input
-        context.tick_comparisons(len(output) + len(compatibles))
-    compatible_set = set(compatibles)
-    successors: list[Tuple] = []
-    for candidate in output:
-        if not candidate.lineage <= valid_tids:
-            continue
-        if _derives_from_compatible(candidate, compatible_set):
-            successors.append(candidate)
-
-    survived: set[Tuple] = set()
-    for successor in successors:
-        for parent in successor.parents:
-            if parent in compatible_set:
-                survived.add(parent)
-        if not successor.parents and successor in compatible_set:
-            survived.add(successor)
-    blocked = tuple(c for c in compatibles if c not in survived)
+        context.tick_comparisons(checks)
 
     origins_in = _origins(compatibles, dir_tids)
     origins_out = _origins(successors, dir_tids)
@@ -84,33 +100,22 @@ def find_successors(
     if tracer is not None:
         metrics = tracer.metrics
         metrics.counter("successors.steps").inc()
-        metrics.counter("successors.checks").inc(
-            len(output) + len(compatibles)
-        )
+        metrics.counter("successors.checks").inc(checks)
         metrics.counter("successors.found").inc(len(successors))
         metrics.counter("successors.blocked").inc(len(blocked))
     return SuccessorStep(
         successors=tuple(successors),
-        blocked=blocked,
+        blocked=tuple(blocked),
         origins_in=origins_in,
         origins_out=origins_out,
     )
-
-
-def _derives_from_compatible(
-    candidate: Tuple, compatible_set: set[Tuple]
-) -> bool:
-    if not candidate.parents:
-        # leaves copy their input: the tuple is its own predecessor
-        return candidate in compatible_set
-    return any(parent in compatible_set for parent in candidate.parents)
 
 
 def _origins(
     tuples: Iterable[Tuple], dir_tids: frozenset[str]
 ) -> frozenset[str]:
     """Dir-origin tids occurring in the lineage of *tuples*."""
-    alive: set[str] = set()
+    lineage: set[str] = set()
     for t in tuples:
-        alive |= t.lineage & dir_tids
-    return frozenset(alive)
+        lineage.update(t.lineage)
+    return frozenset(lineage.intersection(dir_tids))

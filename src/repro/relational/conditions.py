@@ -149,6 +149,24 @@ def _resolve(
 # ---------------------------------------------------------------------------
 # Conditions
 # ---------------------------------------------------------------------------
+def _freeze_names(condition: "Condition", parts: Iterable) -> None:
+    """Store the attribute and variable names of an immutable condition
+    built from *parts* (terms or sub-conditions), once: Def. 2.8 asks
+    for them on every satisfiability check."""
+    attributes: set[str] = set()
+    variables: set[str] = set()
+    for part in parts:
+        if isinstance(part, Attr):
+            attributes.add(part.name)
+        elif isinstance(part, Var):
+            variables.add(part.name)
+        elif isinstance(part, Condition):
+            attributes |= part.attributes()
+            variables |= part.variables()
+    object.__setattr__(condition, "_attributes", frozenset(attributes))
+    object.__setattr__(condition, "_variables", frozenset(variables))
+
+
 class Condition:
     """Abstract base of all conditions."""
 
@@ -247,6 +265,7 @@ class Comparison(Condition):
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPS:
             raise ConditionError(f"unknown comparison operator {self.op!r}")
+        _freeze_names(self, (self.left, self.right))
 
     def evaluate(self, t=None, valuation=None) -> bool:
         ok_l, lhs = _resolve(self.left, t, valuation)
@@ -258,20 +277,10 @@ class Comparison(Condition):
         return compare_values(lhs, self.op, rhs)
 
     def attributes(self) -> frozenset[str]:
-        names = [
-            term.name
-            for term in (self.left, self.right)
-            if isinstance(term, Attr)
-        ]
-        return frozenset(names)
+        return self._attributes
 
     def variables(self) -> frozenset[str]:
-        names = [
-            term.name
-            for term in (self.left, self.right)
-            if isinstance(term, Var)
-        ]
-        return frozenset(names)
+        return self._variables
 
     def negated(self) -> Condition:
         return Comparison(self.left, _NEGATION[self.op], self.right)
@@ -317,20 +326,17 @@ class And(Condition):
             return flat[0]
         return cls(tuple(flat))
 
+    def __post_init__(self) -> None:
+        _freeze_names(self, self.parts)
+
     def evaluate(self, t=None, valuation=None) -> bool:
         return all(part.evaluate(t, valuation) for part in self.parts)
 
     def attributes(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for part in self.parts:
-            out |= part.attributes()
-        return out
+        return self._attributes
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for part in self.parts:
-            out |= part.variables()
-        return out
+        return self._variables
 
     def conjuncts(self) -> tuple[Condition, ...]:
         flat: list[Condition] = []
@@ -373,20 +379,17 @@ class Or(Condition):
             return flat[0]
         return cls(tuple(flat))
 
+    def __post_init__(self) -> None:
+        _freeze_names(self, self.parts)
+
     def evaluate(self, t=None, valuation=None) -> bool:
         return any(part.evaluate(t, valuation) for part in self.parts)
 
     def attributes(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for part in self.parts:
-            out |= part.attributes()
-        return out
+        return self._attributes
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for part in self.parts:
-            out |= part.variables()
-        return out
+        return self._variables
 
     def negated(self) -> Condition:
         return And.of(*(part.negated() for part in self.parts))
@@ -534,13 +537,19 @@ def is_satisfiable(
     Supports the grammar of Def. 2.5 -- conjunctions of ``x cop y`` and
     ``x cop a`` -- plus disjunctions (checked branch-wise).  Raises
     :class:`ConditionError` when the condition references attributes.
+
+    A condition whose variables are all bound is ground: it is decided
+    by evaluating it, which is exact because the solver decides
+    constant-constant atoms with the same :func:`compare_values`.
     """
-    bound = dict(bound or {})
+    bound = bound or {}
     if condition.attributes():
         raise ConditionError(
             "satisfiability is defined for variable/constant conditions "
             f"only; got attributes {sorted(condition.attributes())}"
         )
+    if condition.variables() <= bound.keys():
+        return condition.evaluate(valuation=bound)
     if isinstance(condition, Or):
         return any(is_satisfiable(part, bound) for part in condition.parts)
 

@@ -6,7 +6,9 @@ on each output tuple, its direct predecessors and base lineage.  The
 :class:`EvaluationResult` keeps the input/output tuple lists of every
 subquery -- precisely the ``Input`` / ``Output`` columns of the paper's
 TabQ structure -- so NedExplain and the Why-Not baseline can inspect
-every intermediate result.
+every intermediate result.  Per node it also serves a parent -> child
+index (:func:`children_index`), which turns SuccessorsFinder (Alg. 3)
+into a lookup of the compatibles' children instead of a scan.
 """
 
 from __future__ import annotations
@@ -29,6 +31,38 @@ from .tuples import Tuple, Value
 #: mixing records of distinct evaluations.
 _EVAL_SERIALS = itertools.count(1)
 
+#: Positions of one tuple's children in a node's output: a bare ``int``
+#: for the common single child, a ``tuple`` only for fan-out (a join
+#: partner matching several tuples).  An index lives as long as its
+#: cached evaluation, so it is kept this compact rather than one list
+#: per parent.
+ChildPositions = int | tuple[int, ...]
+
+
+def children_index(output: Sequence[Tuple]) -> dict[Tuple, ChildPositions]:
+    """Map each parent tuple to the positions of its children in *output*.
+
+    A tuple without parents (a leaf's copy of its input) indexes under
+    itself: it is its own predecessor.  Parents are matched by tuple
+    equality, as :func:`repro.core.successors.find_successors` matches
+    them against the compatibles.
+    """
+    index: dict[Tuple, int | list[int]] = {}
+    for position, t in enumerate(output):
+        for parent in t.parents or (t,):
+            known = index.get(parent)
+            if known is None:
+                index[parent] = position
+            elif isinstance(known, int):
+                index[parent] = [known, position]
+            else:
+                known.append(position)
+    # fan-out grows as lists (linear in the output), then packs tightly
+    for parent, known in index.items():
+        if isinstance(known, list):
+            index[parent] = tuple(known)
+    return index
+
 
 class EvaluationResult:
     """Per-node inputs and outputs of one query evaluation.
@@ -40,6 +74,12 @@ class EvaluationResult:
     outlives its evaluation call -- e.g. inside an
     :class:`~repro.relational.evalcache.EvaluationCache` -- can never
     have its keys silently re-bound to unrelated query objects.
+
+    Parent -> child indexes (:meth:`children_index`) are built lazily,
+    one per node, and keyed by the identity of the node's output list,
+    which each entry holds.  :meth:`rebind` shares both the lists and
+    the index map, so every view of one cached evaluation builds each
+    index at most once.
     """
 
     def __init__(self, root: Query):
@@ -49,6 +89,11 @@ class EvaluationResult:
         #: strong references keeping every keyed node alive (id-reuse
         #: safety; see the class docstring)
         self._nodes: dict[int, Query] = {}
+        #: id(output list) -> (that list, its children_index), shared
+        #: by rebind views; holding the list keeps its id from reuse
+        self._children: dict[
+            int, tuple[list[Tuple], dict[Tuple, ChildPositions]]
+        ] = {}
 
     def set_node(
         self,
@@ -69,6 +114,24 @@ class EvaluationResult:
             raise EvaluationError(
                 f"node {node!r} was not evaluated"
             ) from None
+
+    def children_index(
+        self, node: Query
+    ) -> Mapping[Tuple, ChildPositions]:
+        """The parent -> child index of *node*'s output, built once.
+
+        Cached results are shared across worker threads, so the index
+        is built complete before it is published (as
+        :meth:`RelationInstance.lookup` does); two threads racing on a
+        first use both build it and one copy wins.  Callers must not
+        mutate it.
+        """
+        output = self.output(node)
+        built = self._children.get(id(output))
+        if built is None:
+            built = (output, children_index(output))
+            self._children[id(output)] = built
+        return built[1]
 
     def inputs(self, node: Query) -> list[list[Tuple]]:
         """Per-child input tuple lists of *node*."""
@@ -127,6 +190,7 @@ class EvaluationResult:
                 "different shape"
             )
         clone = EvaluationResult(new_root)
+        clone._children = self._children
         for old, new in zip(old_nodes, new_nodes):
             if old.op != new.op:
                 raise EvaluationError(

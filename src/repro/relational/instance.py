@@ -13,7 +13,7 @@ fix for the baseline's Crime6/Crime7 failure discussed in Sec. 4.2).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Protocol
 
 from ..errors import SchemaError, UnknownRelationError
 from .schema import DatabaseSchema, RelationSchema
@@ -85,6 +85,11 @@ class RelationInstance:
     def tuples(self) -> tuple[Tuple, ...]:
         """The stored tuples, in insertion order."""
         return tuple(self._tuples)
+
+    @property
+    def tids(self) -> KeysView[str]:
+        """The identifiers of the stored tuples (a live, set-like view)."""
+        return self._by_tid.keys()
 
     def by_tid(self, tid: str) -> Tuple:
         """Return the tuple with identifier *tid*."""

@@ -7,7 +7,7 @@ Covers the pieces the differential suites rely on:
   direct ``Table.insert``) and the *non*-invalidation of pure read
   paths (lazy index builds);
 * :meth:`EvaluationResult.rebind` onto structurally equal but distinct
-  trees;
+  trees, sharing the lazily built parent -> child indexes;
 * the node-lifetime regression: ``EvaluationResult`` keys its maps by
   ``id(node)``, and CPython reuses ids of garbage-collected objects, so
   the result must hold strong references to its nodes.
@@ -16,6 +16,8 @@ Covers the pieces the differential suites rely on:
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import weakref
 
 import pytest
@@ -30,6 +32,7 @@ from repro.relational import (
     evaluate_query,
     query_fingerprint,
 )
+from repro.relational.evaluator import children_index
 
 
 def make_db() -> Database:
@@ -213,6 +216,63 @@ def test_hit_rebinds_onto_equal_tree():
     ):
         assert list(original.output(old)) == list(rebound.output(new))
     assert rebound.root is second.root
+
+
+def test_rebound_views_share_each_children_index():
+    """The parent -> child index of a cached node is built once for
+    every view of the evaluation, and maps each parent to the output
+    positions of its children."""
+    db = make_db()
+    cache = EvaluationCache()
+    first = canonicalize(make_spec(1), db.schema)
+    second = canonicalize(make_spec(1), db.schema)
+    original = cache_fetch(cache, db, first)
+    rebound = cache_fetch(cache, db, second)
+    for old, new in zip(
+        first.root.postorder(), second.root.postorder()
+    ):
+        index = original.children_index(old)
+        assert rebound.children_index(new) is index
+        output = original.output(old)
+        for position, t in enumerate(output):
+            for parent in t.parents or (t,):
+                found = index[parent]
+                assert position in (
+                    (found,) if isinstance(found, int) else found
+                )
+
+
+def test_concurrent_first_uses_see_complete_children_indexes():
+    """Threads racing on the first use of a shared result's indexes
+    each get a complete index, and afterwards all agree on one."""
+    db = make_db()
+    canonical = canonicalize(make_spec(1), db.schema)
+    result = cache_fetch(EvaluationCache(), db, canonical)
+    nodes = list(canonical.root.postorder())
+    expected = {
+        id(node): children_index(result.output(node)) for node in nodes
+    }
+    failures = []
+
+    def use():
+        for node in nodes:
+            if result.children_index(node) != expected[id(node)]:
+                failures.append(node)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=use) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    for node in nodes:
+        assert result.children_index(node) is result.children_index(node)
 
 
 def test_rebind_rejects_different_shape():

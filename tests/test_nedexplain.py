@@ -244,6 +244,40 @@ class TestSecondaryAnswer:
         empty_labels = {n.name for n in answer.empty_outputs}
         assert "TOC" in empty_labels
 
+    @pytest.mark.parametrize("verbatim", [False, True])
+    def test_indirect_relation_reaching_the_root_is_not_blamed(
+        self, verbatim
+    ):
+        """Def. 2.14 decides whether an indirect relation survives from
+        its own tuple ids, whatever they look like: S has no tuple with
+        ``c = 7``, yet its tuple reaches the result, so nothing is
+        secondary -- with the ``S:k`` tids of an input instance and
+        with the verbatim tids of a hand-built one alike."""
+        from repro.core import JoinPair, SPJASpec, canonicalize
+        from repro.relational import Database, DatabaseInstance
+
+        db = Database("verbatim")
+        db.create_table("R", ["id", "a", "b"], key="id")
+        db.create_table("S", ["id", "b", "c"], key="id")
+        db.insert("R", id=1, a=1, b=10)
+        db.insert("S", id=1, b=10, c=5)
+        spec = SPJASpec(
+            aliases={"R": "R", "S": "S"},
+            joins=[JoinPair("R.b", "S.b")],
+            projection=("R.a", "S.c"),
+        )
+        canonical = canonicalize(spec, db.schema)
+        instance = db.input_instance(canonical.aliases)
+        if verbatim:
+            instance = DatabaseInstance(instance.schema)
+            instance.insert_values("R", "r1", id=1, a=1, b=10)
+            instance.insert_values("S", "s1", id=1, b=10, c=5)
+        report = nedexplain(
+            canonical, "(R.a: 1, S.c: 7)", instance=instance
+        )
+        (answer,) = report.answers
+        assert answer.secondary == ()
+
     def test_secondary_excludes_picky_nodes(self):
         """Crime5: W and S die at the same join already blamed by the
         detailed answer; only the empty selection is secondary."""

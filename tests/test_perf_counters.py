@@ -23,74 +23,74 @@ from repro.workloads import USE_CASES
 # private cache, hence the cold-path miss/store pair in every entry.
 GOLDEN_COUNTERS = {
     ("Crime5", "ned"): {
-        "budget.comparisons": 336,
+        "budget.comparisons": 270,
         "budget.rows": 196,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 1,
         "evaluator.operators": 9,
         "successors.blocked": 1,
-        "successors.checks": 71,
+        "successors.checks": 5,
         "successors.found": 2,
         "successors.steps": 4,
     },
     ("Crime9", "ned"): {
-        "budget.comparisons": 634,
+        "budget.comparisons": 521,
         "budget.rows": 279,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 1,
         "evaluator.operators": 9,
         "successors.blocked": 11,
-        "successors.checks": 189,
+        "successors.checks": 76,
         "successors.found": 38,
         "successors.steps": 5,
     },
     ("Gov5", "ned"): {
-        "budget.comparisons": 6970,
+        "budget.comparisons": 5991,
         "budget.rows": 4002,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 1,
         "evaluator.operators": 8,
         "successors.blocked": 243,
-        "successors.checks": 1804,
+        "successors.checks": 825,
         "successors.found": 243,
         "successors.steps": 4,
     },
     ("Gov7", "ned"): {
-        "budget.comparisons": 1113,
+        "budget.comparisons": 886,
         "budget.rows": 910,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 2,
         "evaluator.operators": 11,
         "successors.blocked": 1,
-        "successors.checks": 228,
+        "successors.checks": 1,
         "successors.found": 0,
         "successors.steps": 5,
     },
     ("Imdb1", "ned"): {
-        "budget.comparisons": 315,
+        "budget.comparisons": 276,
         "budget.rows": 271,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 1,
         "evaluator.operators": 8,
         "successors.blocked": 2,
-        "successors.checks": 43,
+        "successors.checks": 4,
         "successors.found": 1,
         "successors.steps": 3,
     },
     ("Imdb2", "ned"): {
-        "budget.comparisons": 326,
+        "budget.comparisons": 287,
         "budget.rows": 271,
         "cache.misses": 1,
         "cache.stores": 1,
         "compatible.finds": 1,
         "evaluator.operators": 8,
         "successors.blocked": 3,
-        "successors.checks": 52,
+        "successors.checks": 13,
         "successors.found": 3,
         "successors.steps": 4,
     },
@@ -111,7 +111,7 @@ GOLDEN_COUNTERS = {
 }
 
 GOLDEN_BATCH = {
-    "budget.comparisons": 2657,
+    "budget.comparisons": 801,
     "budget.rows": 361,
     "cache.hits": 11,
     "cache.misses": 1,
@@ -119,20 +119,20 @@ GOLDEN_BATCH = {
     "compatible.finds": 12,
     "evaluator.operators": 6,
     "successors.blocked": 6,
-    "successors.checks": 2229,
+    "successors.checks": 373,
     "successors.found": 184,
     "successors.steps": 34,
 }
 
 GOLDEN_SCALING = {
-    "budget.comparisons": 1803,
+    "budget.comparisons": 1443,
     "budget.rows": 1201,
     "cache.misses": 1,
     "cache.stores": 1,
     "compatible.finds": 1,
     "evaluator.operators": 10,
     "successors.blocked": 1,
-    "successors.checks": 361,
+    "successors.checks": 1,
     "successors.found": 0,
     "successors.steps": 3,
 }
@@ -188,7 +188,7 @@ def test_counters_deterministic_across_all_use_cases():
 def test_baseline_retraces_more_than_nedexplain_on_joins():
     """The paper's Fig. 6 mechanism, stated in counters: on the
     join-heavy Gov5 the Why-Not baseline re-traces unpicked items over
-    the full intermediate results, paying ~28x the comparisons of
+    the full intermediate results, paying ~33x the comparisons of
     NedExplain's single compatible-tuple pass."""
     ned = GOLDEN_COUNTERS[("Gov5", "ned")]["budget.comparisons"]
     whynot = GOLDEN_COUNTERS[("Gov5", "whynot")]["budget.comparisons"]
