@@ -21,6 +21,7 @@ from ..errors import (
 )
 from ..obs import Tracer, counter_values, tracing
 from ..obs.clock import perf_counter
+from ..relational.evalcache import EvaluationCache
 from ..robustness.budget import (
     Budget,
     ExecutionContext,
@@ -80,16 +81,24 @@ def run_use_case(
     exhaustion (``result.ned.partial``); the baseline, which has no
     partial-answer notion, is marked n.a. when its budget runs out so
     a runaway baseline cannot stall a benchmark sweep.
+
+    Each call evaluates on a private cache, so where a budget cuts
+    never depends on what earlier calls in the process evaluated.
     """
     use_case, database, canonical = use_case_setup(name, scale)
-    ned_engine = NedExplain(canonical, database=database, config=config)
+    cache = EvaluationCache()
+    ned_engine = NedExplain(
+        canonical, database=database, config=config, cache=cache
+    )
     ned_report = ned_engine.explain(use_case.predicate, budget=budget)
 
     whynot_report: WhyNotBaselineReport | None = None
     whynot_na = False
     if run_baseline:
         try:
-            baseline = WhyNotBaseline(canonical, database=database)
+            baseline = WhyNotBaseline(
+                canonical, database=database, cache=cache
+            )
             whynot_report = baseline.explain(
                 use_case.predicate, budget=budget
             )
@@ -211,8 +220,6 @@ def use_case_factory(
     evaluation through the row engine (the default, the differential
     oracle) or the columnar engine (``"columnar"``; NedExplain only).
     """
-    from ..relational import EvaluationCache
-
     if algorithm not in ("ned", "whynot"):
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; expected 'ned' or "

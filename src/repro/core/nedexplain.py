@@ -41,7 +41,7 @@ from ..errors import (
     ReproError,
     WhyNotQuestionError,
 )
-from ..relational.algebra import Aggregate, Query
+from ..relational.algebra import Aggregate, Query, query_fingerprint
 from ..relational.database import Database
 from ..relational.evalcache import EvaluationCache, get_default_cache
 from ..relational.evaluator import EvaluationResult
@@ -68,10 +68,10 @@ from .canonical import CanonicalQuery
 from .compatibility import (
     CompatibilitySets,
     CompatibleFinder,
-    tuple_matches_ctuple,
+    any_compatible,
 )
 from .successors import find_successors
-from .tabq import TabEntry, TabQ
+from .tabq import TabEntry, TabQ, TabQPlan
 from .unrename import unrename_ctuple
 from .whynot_question import CTuple, Predicate, parse_predicate
 
@@ -204,6 +204,14 @@ class NedExplain:
             self.instance = instance
         self.finder = CompatibleFinder(self.instance)
         self.cache = cache if cache is not None else get_default_cache()
+        # Facts fixed by the canonical tree, computed once and shared
+        # read-only by every question and worker thread: TabQ's order,
+        # levels, parents and aggregation checks, and the structural
+        # half of the evaluation-cache key.
+        self.plan = TabQPlan.build(canonical)
+        self._fingerprint = query_fingerprint(
+            canonical.root, canonical.aliases
+        )
         # Per-explain mutable state lives in a threading.local: a
         # parallel batch runs explain() concurrently on one engine, and
         # each worker thread must see only its own question's shared
@@ -311,6 +319,7 @@ class NedExplain:
                             if self.config.use_columnar
                             else "row"
                         ),
+                        fingerprint=self._fingerprint,
                     )
 
             with _PhaseTimer(self, "Initialization"):
@@ -328,9 +337,8 @@ class NedExplain:
                     and tabq is not None
                 ):
                     root_entry = tabq.entry(self.canonical.root)
-                    if root_entry.output is not None and any(
-                        tuple_matches_ctuple(t, original)
-                        for t in root_entry.output
+                    if root_entry.output is not None and any_compatible(
+                        root_entry.output, original
                     ):
                         answer.answer_not_missing = True
                 answers.append(answer)
@@ -589,7 +597,7 @@ class NedExplain:
             )
 
         with _PhaseTimer(self, "Initialization"):
-            tabq = TabQ(self.canonical.root, self.instance, compat)
+            tabq = TabQ(self.plan, self.instance, compat)
 
         detailed: list[DetailedEntry] = []
         try:
@@ -639,22 +647,20 @@ class NedExplain:
         node = entry.node
         with _PhaseTimer(self, "BottomUp"):
             if self._shared is not None:
-                # shared-evaluation path: per-node inputs/outputs come
-                # from the one cached evaluation (identical, by
+                # shared-evaluation path: per-node inputs/outputs are
+                # the one cached evaluation's own lists (identical, by
                 # construction, to what re-applying every manipulation
-                # would produce)
+                # would produce), read and never copied
                 if not entry.is_leaf:
-                    entry.input = list(self._shared.flat_input(node))
-                entry.output = list(self._shared.output(node))
-            elif entry.is_leaf:
-                entry.output = node.apply([entry.input])
+                    entry.inputs = self._shared.inputs(node)
+                entry.output = self._shared.output(node)
             else:
-                inputs = [
-                    list(tabq.entry(child).output or [])
-                    for child in node.children
-                ]
-                entry.input = [t for part in inputs for t in part]
-                entry.output = node.apply(inputs)
+                if not entry.is_leaf:
+                    entry.inputs = [
+                        tabq.entry(child).output or []
+                        for child in node.children
+                    ]
+                entry.output = node.apply(entry.inputs)
             parent = entry.parent
             if not entry.output:
                 tabq.mark_empty(entry)
@@ -671,8 +677,8 @@ class NedExplain:
             step = find_successors(
                 entry.output,
                 entry.compatibles,
-                compat.valid_tids,
                 compat.dir_tids,
+                compat.indir_tids,
                 children=(
                     self._shared.children_index(node)
                     if self._shared is not None and entry.compatibles
@@ -691,7 +697,7 @@ class NedExplain:
             # Aggregation-condition check (Def. 2.12, second part):
             # applies to nodes strictly above the breakpoint V of an
             # aggregation.
-            aggregate = self._relevant_aggregate(node)
+            aggregate = self.plan.aggregates.get(id(node))
             if aggregate is not None:
                 tc_agg = tc.restricted_to(
                     set(aggregate.group_by)
@@ -745,27 +751,6 @@ class NedExplain:
     # ------------------------------------------------------------------
     # Aggregation-condition support
     # ------------------------------------------------------------------
-    def _relevant_aggregate(self, node: Query) -> Aggregate | None:
-        """The aggregation whose breakpoint V is a *proper* subquery of
-        *node*, if the two belong to the same union branch."""
-        for aggregate in self.canonical.aggregate_nodes():
-            breakpoint = self._breakpoint_of(aggregate)
-            if breakpoint is None or breakpoint is node:
-                continue
-            if not breakpoint.is_subquery_of(node):
-                continue
-            if node.is_subquery_of(aggregate) or aggregate.is_subquery_of(
-                node
-            ):
-                return aggregate
-        return None
-
-    def _breakpoint_of(self, aggregate: Aggregate) -> Query | None:
-        for candidate in self.canonical.breakpoints:
-            if candidate.is_subquery_of(aggregate):
-                return candidate
-        return None
-
     def _admits(
         self,
         aggregate: Aggregate,
@@ -787,9 +772,7 @@ class NedExplain:
             candidates = aggregate.aggregate_tuples(tuples)
         else:
             return None
-        return any(
-            tuple_matches_ctuple(t, tc_agg) for t in candidates
-        )
+        return any_compatible(candidates, tc_agg)
 
     # ------------------------------------------------------------------
     # Def. 2.14: secondary answer
@@ -825,11 +808,11 @@ class NedExplain:
             if entry.is_leaf and entry.node.name == alias:
                 leaf_entry = entry
                 break
-        if leaf_entry is None or not leaf_entry.input:
-            return None  # empty stored relation: no d in I|S exists
         # the relation's own tids, not an ``alias:`` prefix: a
         # hand-built instance may keep its tids verbatim
         tids = self.instance.relation(alias).tids
+        if leaf_entry is None or not tids:
+            return None  # empty stored relation: no d in I|S exists
         current: TabEntry | None = leaf_entry
         while current is not None and current.output is not None:
             alive = any(

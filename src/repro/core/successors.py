@@ -57,17 +57,20 @@ class SuccessorStep:
 def find_successors(
     output: Sequence[Tuple],
     compatibles: Sequence[Tuple],
-    valid_tids: frozenset[str],
     dir_tids: frozenset[str],
+    indir_tids: frozenset[str],
     children: Mapping[Tuple, ChildPositions] | None = None,
 ) -> SuccessorStep:
     """Compute the valid successors of *compatibles* in *output*.
 
     Mirrors Alg. 3: an output tuple is kept when its lineage lies
-    within ``valid_tids`` (``Dir | InDir``) and it derives directly
-    from a compatible input tuple.  *children* is the parent -> child
-    index of *output* (:meth:`EvaluationResult.children_index`); it is
-    built from *output* when not given.
+    within ``D = Dir | InDir`` and it derives directly from a
+    compatible input tuple.  ``D`` is given as its two parts,
+    *dir_tids* and *indir_tids*, and never built: a lineage lies
+    within it when what ``Dir`` leaves of it lies within ``InDir``.
+    *children* is the parent -> child index of *output*
+    (:meth:`EvaluationResult.children_index`); it is built from
+    *output* when not given.
     """
     if children is None and compatibles:
         children = children_index(output)
@@ -82,7 +85,9 @@ def find_successors(
         for position in found:
             ok = valid.get(position)
             if ok is None:
-                ok = valid[position] = output[position].lineage <= valid_tids
+                ok = valid[position] = (
+                    output[position].lineage - dir_tids <= indir_tids
+                )
             alive = alive or ok
         if not alive:
             blocked.append(compatible)
@@ -115,7 +120,6 @@ def _origins(
     tuples: Iterable[Tuple], dir_tids: frozenset[str]
 ) -> frozenset[str]:
     """Dir-origin tids occurring in the lineage of *tuples*."""
-    lineage: set[str] = set()
-    for t in tuples:
-        lineage.update(t.lineage)
-    return frozenset(lineage.intersection(dir_tids))
+    return dir_tids.intersection(
+        frozenset().union(*[t.lineage for t in tuples])
+    )

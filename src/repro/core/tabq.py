@@ -15,18 +15,111 @@
 Entries are ordered by decreasing level, left-to-right within a level
 -- the processing order of Alg. 1.  The secondary global structures
 (EmptyOutputMan, Non-PickyMan, PickyMan) live here too.
+
+What depends on the canonical tree alone -- the order, each entry's
+level and parent, and the aggregation each node's Def. 2.12 check
+reads -- is a :class:`TabQPlan`, computed once per engine.  ``Input``
+and ``Output`` are read-only views of the cached evaluation (or of the
+instance, at leaves), never copies: ``Output`` is the cached list
+itself, and ``Input`` is concatenated from the per-child lists only
+when it is read.  Only ``Compatibles`` and ``blocked`` are the
+question's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import EvaluationError
-from ..relational.algebra import Query, RelationLeaf, tabq_order
+from ..relational.algebra import Aggregate, Query, RelationLeaf, tabq_order
 from ..relational.instance import DatabaseInstance
 from ..relational.tuples import Tuple
 from .compatibility import CompatibilitySets
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalQuery
+
+
+@dataclass(frozen=True, eq=False)
+class TabQPlan:
+    """The columns of ``TabQ`` fixed by the canonical tree.
+
+    Built once per engine (:meth:`build`) and shared, read-only, by
+    every question and worker thread.
+    """
+
+    root: Query
+    #: subqueries in TabQ order (decreasing level, left to right)
+    nodes: tuple[Query, ...]
+    #: level of each node, by position
+    levels: tuple[int, ...]
+    #: position of each node's parent (``None`` for the root)
+    parents: tuple[int | None, ...]
+    #: id(node) -> the aggregation whose Def. 2.12 condition is checked
+    #: at that node (nodes strictly above its breakpoint V, in its
+    #: union branch); nodes without one are absent
+    aggregates: Mapping[int, Aggregate]
+
+    @classmethod
+    def build(cls, canonical: CanonicalQuery) -> "TabQPlan":
+        root = canonical.root
+        levels: dict[int, int] = {}
+        parents: dict[int, Query] = {}
+
+        def walk(node: Query, level: int) -> None:
+            levels[id(node)] = level
+            for child in node.children:
+                parents[id(child)] = node
+                walk(child, level + 1)
+
+        walk(root, 0)
+        nodes = tuple(tabq_order(root))
+        position = {id(node): i for i, node in enumerate(nodes)}
+        parent_positions = tuple(
+            position[id(parents[id(n)])] if id(n) in parents else None
+            for n in nodes
+        )
+        breakpoints = [
+            (aggregate, _breakpoint_of(canonical, aggregate))
+            for aggregate in canonical.aggregate_nodes()
+        ]
+        aggregates = {}
+        for node in nodes:
+            aggregate = _relevant_aggregate(node, breakpoints)
+            if aggregate is not None:
+                aggregates[id(node)] = aggregate
+        return cls(
+            root=root,
+            nodes=nodes,
+            levels=tuple(levels[id(n)] for n in nodes),
+            parents=parent_positions,
+            aggregates=aggregates,
+        )
+
+
+def _breakpoint_of(
+    canonical: CanonicalQuery, aggregate: Aggregate
+) -> Query | None:
+    for candidate in canonical.breakpoints:
+        if candidate.is_subquery_of(aggregate):
+            return candidate
+    return None
+
+
+def _relevant_aggregate(
+    node: Query, breakpoints: list[tuple[Aggregate, Query | None]]
+) -> Aggregate | None:
+    """The aggregation whose breakpoint V is a *proper* subquery of
+    *node*, if the two belong to the same union branch."""
+    for aggregate, breakpoint in breakpoints:
+        if breakpoint is None or breakpoint is node:
+            continue
+        if not breakpoint.is_subquery_of(node):
+            continue
+        if node.is_subquery_of(aggregate) or aggregate.is_subquery_of(node):
+            return aggregate
+    return None
 
 
 @dataclass
@@ -36,11 +129,20 @@ class TabEntry:
     node: Query
     level: int
     parent: "TabEntry | None" = None
-    input: list[Tuple] = field(default_factory=list)
-    output: list[Tuple] | None = None
+    #: the input, one tuple sequence per child (the stored relation at
+    #: a leaf); read-only views, see :attr:`input`
+    inputs: Sequence[Sequence[Tuple]] = ()
+    #: the output: at a shared evaluation, the cached list itself
+    output: Sequence[Tuple] | None = None
     compatibles: list[Tuple] = field(default_factory=list)
     #: compatible inputs without valid successor (filled by Alg. 3)
     blocked: tuple[Tuple, ...] = ()
+
+    @property
+    def input(self) -> list[Tuple]:
+        """``m.Input``: the children's outputs concatenated (the stored
+        relation at a leaf), built on each read."""
+        return [t for part in self.inputs for t in part]
 
     @property
     def op(self) -> str:
@@ -54,12 +156,9 @@ class TabEntry:
     def is_leaf(self) -> bool:
         return isinstance(self.node, RelationLeaf)
 
-    def add_compatibles(self, tuples: Iterator[Tuple] | list[Tuple]) -> None:
-        seen = set(self.compatibles)
-        for t in tuples:
-            if t not in seen:
-                seen.add(t)
-                self.compatibles.append(t)
+    def add_compatibles(self, tuples: Iterable[Tuple]) -> None:
+        """Append the *tuples* not compatible yet, in order."""
+        self.compatibles[:] = dict.fromkeys([*self.compatibles, *tuples])
 
     def __repr__(self) -> str:
         size = "?" if self.output is None else len(self.output)
@@ -75,34 +174,29 @@ class TabQ:
 
     def __init__(
         self,
-        root: Query,
+        plan: TabQPlan,
         instance: DatabaseInstance,
         compat: CompatibilitySets,
     ):
-        self.root = root
-        self._entries: list[TabEntry] = []
-        self._by_node: dict[int, TabEntry] = {}
-
-        ordered = tabq_order(root)
-        for node in ordered:
-            entry = TabEntry(node=node, level=root.depth_of(node))
-            self._entries.append(entry)
-            self._by_node[id(node)] = entry
-        for entry in self._entries:
-            parent = root.parent_of(entry.node)
+        self.plan = plan
+        self.root = plan.root
+        self._entries = [
+            TabEntry(node=node, level=level)
+            for node, level in zip(plan.nodes, plan.levels)
+        ]
+        self._by_node = {id(e.node): e for e in self._entries}
+        for entry, parent in zip(self._entries, plan.parents):
             if parent is not None:
-                entry.parent = self._by_node[id(parent)]
+                entry.parent = self._entries[parent]
 
         # Initialization (Sec. 3.1, 2c): leaves get their stored
-        # relation as input and Dir|Ri as compatibles.
+        # relation as input and Dir|Ri as compatibles (distinct tuples
+        # of I_Q, so no duplicate check is needed).
         for entry in self._entries:
             if entry.is_leaf:
-                leaf = entry.node
-                assert isinstance(leaf, RelationLeaf)
-                entry.input = list(instance.relation(leaf.alias))
-                entry.add_compatibles(
-                    list(compat.direct.get(leaf.alias, ()))
-                )
+                alias = entry.node.alias
+                entry.inputs = (instance.relation(alias),)
+                entry.compatibles = list(compat.direct.get(alias, ()))
 
         # Secondary global structures.
         self.empty_output_man: list[TabEntry] = []

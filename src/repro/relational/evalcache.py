@@ -24,7 +24,7 @@ over the *same* instance.  This module provides the shared substrate:
   :meth:`~repro.relational.evaluator.EvaluationResult.rebind`.
 
 Cached results are shared -- callers must treat them as immutable and
-copy tuple lists before modifying them (TabQ does).
+copy tuple lists before modifying them (TabQ only reads them).
 
 The cache is **thread-safe with single-flight misses**: one reentrant
 lock guards lookups, LRU mutation, the stats counters, and the miss
@@ -111,8 +111,14 @@ class EvaluationCache:
         instance: DatabaseInstance,
         aliases: Mapping[str, str] | None = None,
         engine: str = "row",
+        *,
+        fingerprint: str | None = None,
     ) -> tuple:
         """The cache key: fingerprint of ``(Q, eta_Q)`` + data key.
+
+        *fingerprint* is ``query_fingerprint(root, aliases)`` when the
+        caller already holds it (an engine computes it once); the data
+        key is read on every call.
 
         Columnar entries get a distinct key suffix -- the two engines
         produce observationally identical row views, but keeping the
@@ -120,7 +126,9 @@ class EvaluationCache:
         (and lets the differential suites hold both at once).  Row
         keys keep their historical two-element shape.
         """
-        base = (query_fingerprint(root, aliases), instance.data_key)
+        if fingerprint is None:
+            fingerprint = query_fingerprint(root, aliases)
+        base = (fingerprint, instance.data_key)
         if engine == "row":
             return base
         return base + (engine,)
@@ -134,8 +142,13 @@ class EvaluationCache:
         instance: DatabaseInstance,
         aliases: Mapping[str, str] | None = None,
         engine: str = "row",
+        *,
+        fingerprint: str | None = None,
     ) -> EvaluationResult:
         """Serve the evaluation of *root* over *instance* from cache.
+
+        *fingerprint*, if given, is ``query_fingerprint(root, aliases)``
+        (see :meth:`key_for`).
 
         On a miss the tree is evaluated (lineage-tracing, exactly as
         :func:`~repro.relational.evaluator.evaluate`) and the result
@@ -167,7 +180,9 @@ class EvaluationCache:
         with self._lock:
             fault_point("cache.lookup")
             tracer = current_tracer()
-            key = self.key_for(root, instance, aliases, engine)
+            key = self.key_for(
+                root, instance, aliases, engine, fingerprint=fingerprint
+            )
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)

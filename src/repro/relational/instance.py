@@ -13,6 +13,7 @@ fix for the baseline's Crime6/Crime7 failure discussed in Sec. 4.2).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, KeysView, Mapping, Protocol
 
 from ..errors import SchemaError, UnknownRelationError
@@ -27,7 +28,9 @@ class RelationInstance:
     """An ordered collection of tuples over one relation schema.
 
     Equality lookups (:meth:`lookup`) are served by per-attribute hash
-    indexes built on first use and dropped by every :meth:`add`.
+    indexes, numeric ranges (:meth:`range_scan`) by per-attribute
+    sorted column indexes; both are built on first use and dropped by
+    every :meth:`add`.
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple] = ()):
@@ -36,6 +39,8 @@ class RelationInstance:
         self._by_tid: dict[str, Tuple] = {}
         #: qualified attribute -> value -> matching tuples, in order
         self._indexes: dict[str, dict[Value, tuple[Tuple, ...]]] = {}
+        #: qualified attribute -> (sorted numeric values, their positions)
+        self._ordered: dict[str, tuple[list[Value], list[int]]] = {}
         for t in tuples:
             self.add(t)
 
@@ -57,6 +62,8 @@ class RelationInstance:
         self._by_tid[t.tid] = t
         if self._indexes:
             self._indexes = {}
+        if self._ordered:
+            self._ordered = {}
 
     def lookup(self, attribute: str, value: Value) -> tuple[Tuple, ...]:
         """The tuples whose qualified *attribute* equals *value*.
@@ -80,6 +87,56 @@ class RelationInstance:
             index = {v: tuple(ts) for v, ts in buckets.items()}
             self._indexes[attribute] = index
         return index.get(value, ())
+
+    def range_scan(
+        self,
+        attribute: str,
+        lower: Value,
+        lower_strict: bool,
+        upper: Value,
+        upper_strict: bool,
+    ) -> list[Tuple]:
+        """The tuples whose numeric *attribute* lies between the bounds.
+
+        A bound of ``None`` is open; a strict bound excludes its value.
+        Only values a numeric constant can be compared with count:
+        ints and floats, not bools, NULLs, NaNs or strings (the
+        domains of :func:`~repro.relational.conditions.compare_values`).
+        Served by bisecting a sorted column index; the result keeps
+        the relation's order.  The index is built complete before it
+        is published, as :meth:`lookup`'s are.
+        """
+        ordered = self._ordered.get(attribute)
+        if ordered is None:
+            if attribute not in self.schema.type:
+                raise SchemaError(
+                    f"relation {self.schema.name!r} has no attribute "
+                    f"{attribute!r} to scan"
+                )
+            pairs = sorted(
+                (value, position)
+                for position, value in enumerate(
+                    t[attribute] for t in self._tuples
+                )
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and value == value  # NaN compares false with everything
+            )
+            ordered = ([v for v, _ in pairs], [p for _, p in pairs])
+            self._ordered[attribute] = ordered
+        values, positions = ordered
+        lo = 0
+        if lower is not None:
+            lo = (bisect_right if lower_strict else bisect_left)(
+                values, lower
+            )
+        hi = len(values)
+        if upper is not None:
+            hi = (bisect_left if upper_strict else bisect_right)(
+                values, upper
+            )
+        tuples = self._tuples
+        return [tuples[p] for p in sorted(positions[lo:hi])]
 
     @property
     def tuples(self) -> tuple[Tuple, ...]:

@@ -168,6 +168,17 @@ class TestRunnerErrorPaths:
         assert result.whynot is None
         assert result.whynot_answer_text() == "n.a."
 
+    def test_budget_cut_does_not_depend_on_earlier_calls(self):
+        """Each call evaluates on its own cache: a Gov6 run that
+        completed earlier in the process cannot turn a budgeted run's
+        evaluation into a cache hit that skips its comparisons."""
+        budget = Budget(max_comparisons=1000)
+        first = run_use_case("Gov6", run_baseline=False, budget=budget)
+        run_use_case("Gov6")
+        again = run_use_case("Gov6", run_baseline=False, budget=budget)
+        assert first.ned.partial
+        assert again.ned.partial == first.ned.partial
+
 
 class TestMeasureProtocol:
     def test_samples_match_repeats_and_counters_are_stable(self):

@@ -24,7 +24,7 @@ def prepared(running_example):
     instance = db.input_instance(canonical.aliases)
     tc = CTuple({"A.name": "Homer"})
     compat = CompatibleFinder(instance).find(tc)
-    tabq = TabQ(canonical.root, instance, compat)
+    tabq = TabQ(engine.plan, instance, compat)
     return engine, tabq
 
 

@@ -43,8 +43,8 @@ class TestFindSuccessors:
         step = find_successors(
             result.output(low_join),
             [homer],
-            compat.valid_tids,
             compat.dir_tids,
+            compat.indir_tids,
         )
         assert len(step.successors) == 2
         assert step.blocked == ()
@@ -57,20 +57,20 @@ class TestFindSuccessors:
         low = find_successors(
             result.output(canonical.node("m0")),
             [homer],
-            compat.valid_tids,
             compat.dir_tids,
+            compat.indir_tids,
         )
         mid = find_successors(
             result.output(canonical.node("m1")),
             list(low.successors),
-            compat.valid_tids,
             compat.dir_tids,
+            compat.indir_tids,
         )
         step = find_successors(
             result.output(canonical.node("m2")),
             list(mid.successors),
-            compat.valid_tids,
             compat.dir_tids,
+            compat.indir_tids,
         )
         assert step.successors == ()
         assert set(step.blocked) == set(mid.successors)
@@ -94,8 +94,8 @@ class TestFindSuccessors:
                 for t in result.output(canonical.node("m0"))
                 if "A:a1" in t.lineage
             ],
-            compat.valid_tids,
             compat.dir_tids,
+            compat.indir_tids,
         )
         # every join partner book is non-compatible: all blocked
         assert step.successors == ()
@@ -104,7 +104,7 @@ class TestFindSuccessors:
     def test_leaf_identity_successors(self, traced_example):
         db, canonical, result, compat, homer = traced_example
         step = find_successors(
-            [homer], [homer], compat.valid_tids, compat.dir_tids
+            [homer], [homer], compat.dir_tids, compat.indir_tids
         )
         assert step.successors == (homer,)
 

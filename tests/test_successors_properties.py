@@ -82,18 +82,19 @@ def _step(draw):
             output.append(draw(pick_left).merge(draw(st.sampled_from(right))))
     tids = sorted(t.tid for t in left + right)
     compatibles = draw(st.lists(pick_left, unique_by=id))
-    valid_tids = frozenset(draw(st.lists(st.sampled_from(tids))))
     dir_tids = frozenset(draw(st.lists(st.sampled_from(tids))))
-    return output, compatibles, valid_tids, dir_tids
+    indir_tids = frozenset(draw(st.lists(st.sampled_from(tids))))
+    return output, compatibles, dir_tids, indir_tids
 
 
 @given(_step())
 def test_index_lookup_equals_the_scan(step):
-    output, compatibles, valid_tids, dir_tids = step
-    expected = _scan(output, compatibles, valid_tids, dir_tids)
+    output, compatibles, dir_tids, indir_tids = step
+    # the scan reads D as one set; find_successors reads its two parts
+    expected = _scan(output, compatibles, dir_tids | indir_tids, dir_tids)
     for children in (None, children_index(output)):
         got = find_successors(
-            output, compatibles, valid_tids, dir_tids, children=children
+            output, compatibles, dir_tids, indir_tids, children=children
         )
         assert got == expected
         # the very output tuples, in output order

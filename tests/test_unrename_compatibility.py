@@ -6,7 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     CTuple,
@@ -219,16 +219,23 @@ class TestCompatibleFinder:
         assert tids == ["A:a1", "B:b3"]
 
     def test_insert_after_lookup_is_seen(self, running_example):
-        """``add`` drops the lookup index, so the next find re-reads."""
+        """``add`` drops the lookup and range indexes, and the finder's
+        InDir memo sees the new size, so the next find re-reads."""
         db, canonical = running_example
         instance = db.input_instance(canonical.aliases)
         finder = CompatibleFinder(instance)
         tc = CTuple({"A.name": "Homer"})
+        older = CTuple({"A.dob": Var("x")}, var_cmp("x", "<", -500))
         assert finder.find(tc).dir_tids == frozenset({"A:a1"})
+        assert finder.find(older).dir_tids == frozenset({"A:a1"})
+        assert "B:b4" not in finder.find(tc).indir_tids
         instance.insert_values(
-            "A", "A:a4", aid="a4", name="Homer", dob=-300
+            "A", "A:a4", aid="a4", name="Homer", dob=-600
         )
+        instance.insert_values("B", "B:b4", bid="b4", title="X", price=1)
         assert finder.find(tc).dir_tids == frozenset({"A:a1", "A:a4"})
+        assert finder.find(older).dir_tids == frozenset({"A:a1", "A:a4"})
+        assert "B:b4" in finder.find(tc).indir_tids
 
     def test_engine_answers_over_its_snapshot(self, running_example):
         """A row inserted into the stored database after the engine was
@@ -250,12 +257,15 @@ class TestCompatibleFinder:
 
 
 def test_concurrent_first_lookups_see_complete_buckets():
-    """Threads sharing one engine race on the first lookup of a fresh
-    relation; each must get the whole bucket, never a half-built
-    index."""
+    """Threads sharing one engine race on the first lookup and range
+    scan of a fresh relation; each must get the whole bucket and the
+    whole range, never a half-built index."""
     schema = RelationSchema("R", ("id", "v"))
     rows = [base_tuple("R", f"R:{i}", id=i, v=i % 7) for i in range(500)]
-    expected = [t for t in rows if t["R.v"] == 3]
+    expected = (
+        [t for t in rows if t["R.v"] == 3],
+        [t for t in rows if 3 <= t["R.v"] < 6],
+    )
     workers = (os.cpu_count() or 1) + 2
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -266,7 +276,10 @@ def test_concurrent_first_lookups_see_complete_buckets():
 
             def probe():
                 barrier.wait(timeout=10)
-                return list(relation.lookup("R.v", 3))
+                return (
+                    list(relation.lookup("R.v", 3)),
+                    relation.range_scan("R.v", 3, False, 6, True),
+                )
 
             with ThreadPoolExecutor(workers) as pool:
                 futures = [pool.submit(probe) for _ in range(workers)]
@@ -342,8 +355,25 @@ def _self_join_case(draw):
     return db, canonicalize(spec, db.schema), tc
 
 
+def _repeated_variable_case():
+    """``$x`` bound twice on one alias, by ``1`` and ``True``: Python
+    calls them equal, Def. 2.8 does not unify them (in either order)."""
+    db = Database("lookup-prop")
+    db.create_table("R", ["id", "a", "b", "c"], key="id")
+    db.insert("R", id=0, a=1, b=1, c=True)
+    db.insert("R", id=1, a=True, b=1, c=1)
+    spec = SPJASpec(
+        aliases={"R1": "R", "R2": "R"},
+        joins=[JoinPair("R1.b", "R2.b")],
+        projection=_ATTRS,
+    )
+    tc = CTuple({"R1.a": Var("x"), "R1.c": Var("x")}, var_cmp("x", "=", 1))
+    return db, canonicalize(spec, db.schema), tc
+
+
 @settings(max_examples=80, deadline=None)
 @given(_self_join_case())
+@example(_repeated_variable_case())
 def test_lookup_path_equals_brute_force_scan(case):
     """For every constrained alias the finder returns exactly the
     tuples a scan with ``tuple_matches_ctuple`` keeps, in order; and
