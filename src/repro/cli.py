@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write-ahead log of per-question outcomes (JSONL, "
-        "fsync + checksum per record)",
+        "checksum per record, one fsync at the end)",
     )
     resilience.add_argument(
         "--resume",

@@ -429,9 +429,10 @@ class NedExplain:
             the answer in ``outcome.baseline``).
         *journal*
             a :class:`~repro.robustness.journal.BatchJournal`: every
-            resolved outcome is durably appended as soon as it
-            completes, and questions a previous (killed) run already
-            completed are replayed verbatim as
+            resolved outcome is appended and flushed as soon as it
+            completes (``journal.close()`` fsyncs them), and questions
+            a previous (killed) run already completed are replayed
+            verbatim as
             :class:`~repro.robustness.outcomes.ReplayedOutcome`\\ s.
             A parallel batch appends in completion order; resume is by
             question identity (index + digest), so the merged result

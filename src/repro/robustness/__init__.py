@@ -23,8 +23,8 @@ it with the Why-Not baseline before giving up.  Two more pieces make
 batches durable and concurrent:
 
 * :mod:`~repro.robustness.journal` -- :class:`BatchJournal`, the
-  fsync-per-record write-ahead log that lets a killed batch resume
-  where it died;
+  write-ahead log (flushed per record, fsync-ed once at close) that
+  lets a killed batch resume where it died;
 * :mod:`~repro.robustness.executor` -- :class:`ParallelExecutor` /
   :class:`CancellationToken`: the plain worker pool behind
   ``NedExplain.explain_each(workers=N)``.  Outcomes come back in

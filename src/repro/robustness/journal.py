@@ -2,10 +2,18 @@
 
 A killed batch should not restart from zero.  A :class:`BatchJournal`
 records every resolved :class:`~repro.robustness.outcomes.QuestionOutcome`
-as one JSON line -- flushed and ``fsync``-ed before the next question
-starts, with a SHA-256 checksum over the record's canonical JSON -- so
-whatever survives a crash is exactly the set of fully-completed
-questions.  On resume, ``NedExplain.explain_each(journal=...)`` replays
+as one JSON line with a SHA-256 checksum over the record's canonical
+JSON, so whatever survives a crash is a set of fully-completed
+questions.
+
+Durability is paid once per batch, not once per question.  Each record
+is written and flushed to the kernel before :meth:`BatchJournal.record`
+returns, so a killed process (SIGKILL, OOM kill) loses none of them;
+:meth:`BatchJournal.close` makes them durable with one ``fsync``.  An
+OS crash or power cut before that fsync may lose unsynced records, or
+leave a torn tail; they are recomputed on resume, which is safe because
+NedExplain is deterministic -- a recomputed outcome equals the lost
+one.  On resume, ``NedExplain.explain_each(journal=...)`` replays
 the journalled outcomes verbatim and computes only the remainder; the
 merged result is identical to an uninterrupted run.
 
@@ -26,15 +34,14 @@ must not assume a positional prefix -- any subset of indexes may be
 present after a crash, each replayed independently.  Appends are
 serialized under an internal lock (worker threads of a
 :class:`~repro.robustness.executor.ParallelExecutor` share one
-journal), and each record is still flushed + ``fsync``-ed before the
-append returns.
+journal), and each record is flushed before the append returns.
 
 Two environment hooks drive the crash/drain test harnesses (inert
 unless explicitly set):
 
 * ``REPRO_JOURNAL_CRASH_AFTER`` -- SIGKILL this process immediately
-  after the N-th record is durably appended: the deterministic "pull
-  the plug" of the kill/resume differential (the ``chaos-resume`` and
+  after the N-th record is flushed: the deterministic "kill -9" of the
+  kill/resume differential (the ``chaos-resume`` and
   ``chaos-parallel`` CI jobs);
 * ``REPRO_JOURNAL_SIGINT_AFTER`` -- send this process one SIGINT after
   the N-th append: the deterministic trigger of the graceful-drain
@@ -61,10 +68,10 @@ __all__ = ["BatchJournal", "question_digest"]
 #: discarded on load (a v1 journal simply resumes from zero).
 JOURNAL_VERSION = 2
 
-#: Environment hook: SIGKILL this process after N durable appends.
+#: Environment hook: SIGKILL this process after N flushed appends.
 CRASH_AFTER_ENV = "REPRO_JOURNAL_CRASH_AFTER"
 
-#: Environment hook: SIGINT this process (once) after N durable appends.
+#: Environment hook: SIGINT this process (once) after N flushed appends.
 SIGINT_AFTER_ENV = "REPRO_JOURNAL_SIGINT_AFTER"
 
 
@@ -83,13 +90,21 @@ def _open_journal_file(path: Path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
-def _checksum(record: Mapping[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of *record* (checksum excluded)."""
-    payload = {k: v for k, v in record.items() if k != "checksum"}
-    canonical = json.dumps(
+def _canonical(payload: Mapping[str, Any]) -> str:
+    return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=str
     )
+
+
+def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _checksum(record: Mapping[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of *record* (checksum excluded)."""
+    return _digest(
+        _canonical({k: v for k, v in record.items() if k != "checksum"})
+    )
 
 
 class BatchJournal:
@@ -225,34 +240,35 @@ class BatchJournal:
     def record(
         self, index: int, question: str, outcome: Mapping[str, Any]
     ) -> None:
-        """Durably append one resolved question (write + flush + fsync).
+        """Append one resolved question (write + flush, no fsync).
 
-        Safe to call from several worker threads: the write + fsync +
+        Safe to call from several worker threads: the write + flush +
         bookkeeping of one record is atomic under the journal lock, so
         concurrent appends interleave as whole lines, never torn ones.
+        The flushed record survives a killed process; :meth:`close`
+        makes it survive an OS crash.
         """
+        entry: dict[str, Any] = {
+            "v": JOURNAL_VERSION,
+            "index": index,
+            "question": question,
+            "qdigest": question_digest(question),
+            "outcome": dict(outcome),
+        }
+        canonical = _canonical(entry)
+        entry["checksum"] = _digest(canonical)
+        # "checksum" sorts before every other key, so the line is the
+        # whole entry's canonical JSON from one encoding pass
+        line = f'{{"checksum":"{entry["checksum"]}",{canonical[1:]}\n'
         with self._lock:
             if self._io.closed(self._file):
                 raise ConfigurationError(
                     f"journal {self.path} is closed; no further "
                     "records can be appended"
                 )
-            entry: dict[str, Any] = {
-                "v": JOURNAL_VERSION,
-                "index": index,
-                "question": question,
-                "qdigest": question_digest(question),
-                "outcome": dict(outcome),
-            }
-            entry["checksum"] = _checksum(entry)
             try:
-                self._io.write(
-                    self._file,
-                    json.dumps(entry, sort_keys=True, default=str)
-                    + "\n",
-                )
+                self._io.write(self._file, line)
                 self._io.flush(self._file)
-                self._io.fsync(self._file)
             except (OSError, StorageError) as exc:
                 # a failed append (ENOSPC, EIO, short write) may leave
                 # torn bytes at the tail; they are exactly what the
@@ -274,8 +290,8 @@ class BatchJournal:
             if drain:
                 self._sigint_sent = True
         if crash:
-            # the chaos-resume harness: die like a power cut, AFTER the
-            # record is durable -- no atexit, no buffers, no cleanup
+            # the chaos-resume harness: die like kill -9, AFTER the
+            # record is flushed -- no atexit, no cleanup
             os.kill(os.getpid(), signal.SIGKILL)
         if drain:
             # the graceful-drain harness: ask the process to stop, once,
@@ -290,8 +306,23 @@ class BatchJournal:
             return len(self._records) - self._appended
 
     def close(self) -> None:
+        """Make every record durable with one ``fsync``, then close.
+
+        The batch's only journal fsync: a service batch closes its
+        journal before it writes ``result.json``, and a drain or the
+        CLI's ``--journal`` ends through here too.  Idempotent.
+        """
         with self._lock:
-            if not self._io.closed(self._file):
+            if self._io.closed(self._file):
+                return
+            try:
+                self._io.flush(self._file)
+                self._io.fsync(self._file)
+            except (OSError, StorageError) as exc:
+                raise JournalError(
+                    f"journal fsync of {self.path} failed: {exc}"
+                ) from exc
+            finally:
                 self._io.close(self._file)
 
     def __enter__(self) -> "BatchJournal":

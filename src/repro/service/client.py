@@ -11,6 +11,16 @@ failures (connection refused, reset) do raise ``OSError`` and friends;
 :meth:`ServiceClient.wait_ready` wraps the retry loop callers need at
 startup.
 
+Requests reuse one kept-alive HTTP/1.1 connection per calling thread,
+so a client shared by several threads never interleaves two exchanges
+on one socket.  A server ``Connection: close`` is honoured (the next
+request opens a fresh connection).  When a *reused* connection fails
+before any response byte arrives -- the server reaped it as idle --
+the request is sent once more on a new connection: every route is safe
+to repeat (explain is pure, a batch is keyed by its ``request_id``, and
+re-registering a database ends in the same state).  :meth:`close`, or
+leaving a ``with`` block, closes every connection the client opened.
+
 A client built with a :class:`RetryPolicy` also retries *pushback*
 responses -- 429 (quota / shedding) and 503 (draining) -- waiting the
 larger of the server's ``Retry-After`` and the policy's backoff between
@@ -23,11 +33,11 @@ retrying can help.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -43,6 +53,15 @@ __all__ = [
 
 #: response statuses the retry policy treats as server pushback
 RETRY_STATUSES = (429, 503)
+
+#: how a reused keep-alive connection fails when the server closed it
+#: before the request reached it (``RemoteDisconnected`` is the
+#: empty-status-line case of ``ConnectionResetError``)
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    BrokenPipeError,
+    ConnectionResetError,
+)
 
 
 @dataclass(frozen=True)
@@ -139,12 +158,19 @@ class ServiceClient:
         timeout_s: float = 30.0,
         retry: RetryPolicy | None = None,
     ):
+        self.host = host
+        self.port = port
         self.base = f"http://{host}:{port}"
         self.tenant = tenant
         self.timeout_s = timeout_s
         #: when set, 429/503 responses are retried (bounded by
         #: ``retry.max_attempts``), honouring ``Retry-After``
         self.retry = retry
+        #: this thread's kept-alive connection
+        self._local = threading.local()
+        #: every connection opened, so :meth:`close` reaches all threads'
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------
     def request(
@@ -179,6 +205,17 @@ class ServiceClient:
             response = self._send(method, path, body, headers)
         return response
 
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.append(connection)
+        return connection
+
     def _send(
         self,
         method: str,
@@ -191,31 +228,58 @@ class ServiceClient:
             if body is not None
             else None
         )
-        request = urllib.request.Request(
-            self.base + path, data=data, method=method
-        )
+        request_headers: dict[str, str] = {}
         if data is not None:
-            request.add_header("Content-Type", "application/json")
+            request_headers["Content-Type"] = "application/json"
         if self.tenant is not None:
-            request.add_header("X-Tenant", self.tenant)
-        for key, value in (headers or {}).items():
-            request.add_header(key, value)
+            request_headers["X-Tenant"] = self.tenant
+        request_headers.update(headers or {})
+        connection = self._connection()
+        # http.client drops the socket after a Connection: close
+        # response and reconnects on the next request by itself
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return self._wrap(
-                    response.status,
-                    response.read(),
-                    response.headers.get("Retry-After"),
+            try:
+                connection.request(
+                    method, path, body=data, headers=request_headers
                 )
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx are still JSON envelopes, not exceptions
-            return self._wrap(
-                exc.code,
-                exc.read(),
-                exc.headers.get("Retry-After"),
-            )
+                response = connection.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                # the server reaped this idle connection before the
+                # request reached it: resend once on a fresh one
+                connection.close()
+                connection.request(
+                    method, path, body=data, headers=request_headers
+                )
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            # a half-finished exchange leaves the socket unusable
+            connection.close()
+            raise
+        return self._wrap(
+            response.status, raw, response.getheader("Retry-After")
+        )
+
+    def close(self) -> None:
+        """Close every connection this client opened (any thread).
+
+        Safe to call more than once; a later request reconnects.
+        """
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     @staticmethod
     def _wrap(

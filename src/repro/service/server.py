@@ -42,6 +42,14 @@ that stalls mid-request gets a clean 408 envelope and its connection
 closed instead of parking a worker thread forever, and idle keep-alive
 connections are reaped by the same clock.
 
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, and a
+response leaves in one send when it fits the 64 KiB write buffer.  A
+response closes its connection (``Connection: close``) when it was
+sent before the request's declared body was read -- a 404 on a POST,
+a 429 or 503 refusal, a bad ``Content-Length`` -- because the unread
+body would be parsed as the next request, and every response closes
+it once the server is draining.
+
 Every error is one JSON envelope -- ``{"error": {"type", "message",
 "status"}}`` -- mirroring the CLI's ``--json`` error contract.
 
@@ -130,6 +138,16 @@ class ReproServiceServer(ThreadingHTTPServer):
 class ServiceHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: with Nagle on, a kept-alive client waits out the delayed ACK
+    #: whenever a response leaves in more than one send
+    disable_nagle_algorithm = True
+    #: buffer each response so headers and body leave in one send
+    #: (handle_one_request flushes after every request)
+    wbufsize = 64 * 1024
+    #: the route of the current request, counted per response
+    _route = "unknown"
+    #: whether the current request's body has been read
+    _body_read = False
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -143,10 +161,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # sender can hold a handler thread (see _fail_from's 408 path)
         self.timeout = self.state.config.request_timeout_s
         super().setup()
+        self.state.metrics.counter("service.connections").inc()
 
     def log_message(self, format: str, *args: Any) -> None:
         # access logging goes to /metrics, not stderr noise
         pass
+
+    def _unread_body(self) -> bool:
+        """Whether the request declared a body this handler never read.
+
+        Such a body is still in the socket: on a kept-alive connection
+        it would be parsed as the next request line.
+        """
+        if self._body_read:
+            return False
+        length = self.headers.get("Content-Length")
+        return (
+            length is not None and length.strip() != "0"
+        ) or "Transfer-Encoding" in self.headers
 
     def _respond(
         self,
@@ -154,33 +186,53 @@ class ServiceHandler(BaseHTTPRequestHandler):
         document: dict,
         retry_after_s: float | None = None,
     ) -> None:
+        # compact separators keep json.dumps on its C encoder
         payload = (
-            json.dumps(document, indent=2, sort_keys=True, default=str)
+            json.dumps(
+                document,
+                sort_keys=True,
+                separators=(",", ":"),
+                default=str,
+            )
             + "\n"
         ).encode("utf-8")
         # count before the bytes hit the wire: a client that reads the
         # response and immediately scrapes /metrics must see this one
-        route = getattr(self, "_route", "unknown")
         self.state.metrics.counter("service.responses").inc()
         self.state.metrics.counter(
             f"service.responses.{status}"
         ).inc()
-        self.state.metrics.counter(f"service.route.{route}").inc()
+        self.state.metrics.counter(
+            f"service.route.{self._route}"
+        ).inc()
+        self._write_response(
+            status, "application/json", payload, retry_after_s
+        )
+
+    def _respond_text(self, status: int, text: str) -> None:
+        self._write_response(
+            status, "text/plain; version=0.0.4", text.encode("utf-8")
+        )
+
+    def _write_response(
+        self,
+        status: int,
+        content_type: str,
+        payload: bytes,
+        retry_after_s: float | None = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         if retry_after_s is not None:
             self.send_header(
                 "Retry-After", str(max(1, math.ceil(retry_after_s)))
             )
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _respond_text(self, status: int, text: str) -> None:
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(payload)))
+        if self.state.draining or self._unread_body():
+            # answered before the body was read (404, 429, 503, a bad
+            # Content-Length), or the server is going away: the
+            # connection cannot carry another request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -259,6 +311,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             body = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -291,11 +344,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # start with a fresh contextvars context, so the manual clock a
     # REPRO_MANUAL_CLOCK server was started under would otherwise not
     # reach the work these threads run.
+    # A kept-alive connection reuses this handler, so per-request
+    # state is reset first.
     def do_GET(self) -> None:  # noqa: N802 -- BaseHTTPRequestHandler API
+        self._route, self._body_read = "unknown", False
         with use_clock(self.state.clock):
             self._do_get()
 
     def do_POST(self) -> None:  # noqa: N802 -- BaseHTTPRequestHandler API
+        self._route, self._body_read = "unknown", False
         with use_clock(self.state.clock):
             self._do_post()
 

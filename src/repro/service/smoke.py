@@ -10,7 +10,8 @@ ephemeral port and walks the whole happy path plus the drain story:
    every outcome came back ``full``;
 4. fetch the stored result back by id (idempotence);
 5. scrape ``/metrics`` (JSON and Prometheus text) and check the batch
-   counters moved;
+   counters moved, and that every request travelled over one kept-alive
+   connection;
 6. SIGTERM the server and assert exit code 0 with
    ``active_requests=0`` in the drain summary -- a clean drain with an
    empty pending queue.
@@ -109,11 +110,21 @@ def run_smoke(journal_dir: Path, timeout_s: float = 60.0) -> int:
         if snapshot.get("service.batches", {}).get("value") != 1:
             return _fail("metrics", repr(snapshot.get("service.batches")))
         prometheus = client.metrics_prometheus()
-        if "service_batches 1" not in prometheus.body.get("raw", ""):
+        text = prometheus.body.get("raw", "")
+        if "service_batches 1" not in text:
             return _fail(
                 "metrics", "prometheus text missing service_batches"
             )
         print("smoke: metrics scraped (json + prometheus)")
+        # the scrape counts every connection up to and including its own
+        if "service_connections 1\n" not in text:
+            return _fail(
+                "keep-alive",
+                "requests opened more than one connection: "
+                + repr(snapshot.get("service.connections")),
+            )
+        client.close()
+        print("smoke: every request reused one connection")
 
         server.send_signal(signal.SIGTERM)
         try:

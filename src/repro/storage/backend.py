@@ -106,7 +106,11 @@ def atomic_write_text(
 def atomic_write_json(
     path: Path, document: Mapping[str, Any], io: StorageIO | None = None
 ) -> None:
-    """Atomic + durable JSON document write (stable key order)."""
+    """Atomic + durable JSON document write (stable key order).
+
+    Indented, for files people read and diff (gate baselines, the
+    trajectory); :meth:`StorageBackend.write_document` writes compact.
+    """
     atomic_write_text(
         path,
         json.dumps(document, indent=2, sort_keys=True, default=str)
@@ -226,7 +230,19 @@ class StorageBackend:
         return document
 
     def write_document(self, name: str, document: Mapping[str, Any]) -> None:
-        atomic_write_json(self.path_of(name), document, io=self.io)
+        # compact separators keep json.dumps on its C encoder: nobody
+        # reads these documents but the service
+        atomic_write_text(
+            self.path_of(name),
+            json.dumps(
+                document,
+                sort_keys=True,
+                separators=(",", ":"),
+                default=str,
+            )
+            + "\n",
+            io=self.io,
+        )
         self._count("storage.documents.written")
 
     def delete_document(self, name: str) -> None:

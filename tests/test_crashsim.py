@@ -89,6 +89,19 @@ def _plan(seed: int) -> FaultPlan:
     return FaultPlan(specs, seed=seed, scope="question")
 
 
+def _lying_close_plan(seed: int) -> FaultPlan:
+    """:func:`_plan` with the journal's one fsync -- at close -- lost.
+
+    The journal fsyncs once per batch, so ``_plan``'s lying fsync
+    (call 1 or 3) never meets a call; this plan lies on call 0.
+    """
+    specs = [
+        spec for spec in _plan(seed).specs if spec.site != "io.fsync_lost"
+    ]
+    specs.append(FaultSpec("io.fsync_lost", at_call=0, kind="error"))
+    return FaultPlan(specs, seed=seed, scope="question")
+
+
 def _normalized(outcomes) -> list[dict]:
     return [
         json.loads(json.dumps(o.to_dict(), default=str))
@@ -116,7 +129,7 @@ def _scrub_spent(document):
     return document
 
 
-def _run_recorded_batch(seed: int):
+def _run_recorded_batch(seed: int, plan=_plan):
     """One journaled workers=4 batch on the simulator.
 
     Returns ``(sim, clean_outcomes)``: the op log of the complete run
@@ -126,11 +139,11 @@ def _run_recorded_batch(seed: int):
     sim.mkdir(ROOT)
     journal = BatchJournal(JOURNAL, io=sim)
     with use_clock(ManualClock()):
-        with inject(_plan(seed)):
+        with inject(plan(seed)):
             outcomes = _engine().explain_each(
                 QUESTIONS, journal=journal, workers=4
             )
-    journal.close()
+            journal.close()
     return sim, _normalized(outcomes)
 
 
@@ -159,8 +172,8 @@ def _recovered_indexes(files: dict[str, str]) -> frozenset[int]:
     return recovered
 
 
-def _crash_harness(seed: int) -> None:
-    sim, clean = _run_recorded_batch(seed)
+def _crash_harness(seed: int, plan=_plan) -> None:
+    sim, clean = _run_recorded_batch(seed, plan)
     log = sim.log
     journal_text = sim.read_text(JOURNAL)
     csim = CrashSim(log)
@@ -200,7 +213,7 @@ def _crash_harness(seed: int) -> None:
         io = materialize(files, root=ROOT)
         journal = BatchJournal(JOURNAL, resume=True, io=io)
         with use_clock(ManualClock()):
-            with inject(_plan(seed)):
+            with inject(plan(seed)):
                 outcomes = _engine().explain_each(
                     QUESTIONS, journal=journal, workers=4
                 )
@@ -403,3 +416,13 @@ class TestCrashRecoveryHarness:
         """The PR acceptance bar: every crash prefix of a workers=4
         journaled batch, across 25 fault seeds."""
         _crash_harness(seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lost_close_fsync_commits_nothing_and_still_converges(
+        self, seed
+    ):
+        """The journal's one fsync lies: nothing is ever committed, and
+        every crash state still resumes to the uninterrupted outcomes."""
+        sim, _ = _run_recorded_batch(seed, _lying_close_plan)
+        assert "fsync" not in [op.kind for op in sim.log]
+        _crash_harness(seed, _lying_close_plan)

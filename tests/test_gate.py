@@ -27,6 +27,7 @@ from repro.bench.baselines import (
     write_suite_baseline,
 )
 from repro.bench.gate import (
+    SUITES,
     CheckResult,
     Thresholds,
     allowed_regression_ms,
@@ -949,5 +950,6 @@ def test_full_sweep_update_then_check(tmp_path):
         trajectory=tmp_path / "BENCH_trajectory.json",
     )
     assert check.exit_code == 0, check.render()
+    # every suite the gate defines is checked, and nothing else
     suites = {result.suite for result in check.results}
-    assert suites == {"usecases", "whynot", "batch", "scaling"}
+    assert suites == set(SUITES)

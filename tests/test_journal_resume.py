@@ -3,7 +3,7 @@
 The differential acceptance test at the bottom SIGKILLs a journaled CLI
 batch mid-run (via the deterministic ``REPRO_JOURNAL_CRASH_AFTER``
 hook -- the journal kills its own process right after the N-th record
-is durably fsync-ed, no racy poll-and-kill), resumes it, and asserts
+is flushed to the kernel, no racy poll-and-kill), resumes it, and asserts
 the merged ``--json`` outcomes are byte-for-byte identical to an
 uninterrupted run.  Both runs execute under ``REPRO_MANUAL_CLOCK`` so
 every reported duration is deterministically ``0.0``.
@@ -271,6 +271,36 @@ class TestBatchJournal:
         resumed.close()
 
 
+    def test_record_line_is_the_canonical_entry(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        with BatchJournal(path) as journal:
+            journal.record(0, "(q: 0)", _outcome_dict("(q: 0)"))
+        line = path.read_text().splitlines()[0]
+        entry = json.loads(line)
+        assert entry["checksum"] == _checksum(entry)
+        assert line == json.dumps(
+            entry, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_records_are_flushed_and_fsynced_once_at_close(self):
+        from repro.storage import SimIO
+
+        sim = SimIO()
+        sim.mkdir(Path("/j"))
+        path = Path("/j/batch.jsonl")
+        journal = BatchJournal(path, io=sim)
+        for i in range(3):
+            journal.record(i, f"(q: {i})", _outcome_dict(f"(q: {i})"))
+        # every record already reached the file, none was fsynced
+        assert len(sim.read_text(path).splitlines()) == 3
+        assert [op.kind for op in sim.log].count("fsync") == 0
+        journal.close()
+        journal.close()  # idempotent: still one fsync
+        kinds = [op.kind for op in sim.log]
+        assert kinds.count("fsync") == 1
+        assert kinds[-1] == "fsync"
+
+
 # ---------------------------------------------------------------------------
 # explain_each integration: journaling and replay
 # ---------------------------------------------------------------------------
@@ -423,7 +453,7 @@ class TestKillResumeDifferential:
         clean_doc = json.loads(clean.stdout)
 
         # 2. the same batch, killed right after the first record is
-        #    durable (SIGKILL: no atexit, no flush, no cleanup)
+        #    flushed (SIGKILL: no atexit, no fsync, no cleanup)
         killed = subprocess.run(
             self._cli(data_dir, killed_journal),
             capture_output=True,
@@ -433,7 +463,7 @@ class TestKillResumeDifferential:
         )
         assert killed.returncode == -signal.SIGKILL
         survived = killed_journal.read_text().splitlines()
-        assert len(survived) == 1  # exactly the durable prefix
+        assert len(survived) == 1  # exactly the flushed prefix
 
         # 3. resume and merge
         resumed = subprocess.run(
@@ -598,7 +628,7 @@ class TestParallelDrainAndResume:
             timeout=120,
         )
         assert killed.returncode == -signal.SIGKILL
-        # the durable prefix: at least the 2 records that triggered the
+        # the flushed prefix: at least the 2 records that triggered the
         # kill (another worker may have squeezed one in before dying)
         survived = killed_journal.read_text().splitlines()
         assert 2 <= len(survived) < len(self.CLI_QUESTIONS)

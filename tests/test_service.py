@@ -20,6 +20,7 @@ Four layers of proof, mirroring how the service is built:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -28,7 +29,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -320,6 +320,43 @@ class TestServiceState:
             "outcomes"
         ]
 
+    def test_journaled_batch_pays_for_durability_once(self):
+        """An 8-question batch: one journal fsync (at close), and the
+        manifest and result each a file fsync plus a directory fsync."""
+        from repro.storage import SimIO
+
+        state = self._state(storage="memory")
+        sim = SimIO()
+        sim.mkdir(state.backend.root)
+        state.backend.io = sim
+        state.register_database(REGISTER)
+        start = len(sim.log)
+        questions = ["(Person.name: Roger)", "(Person.name: Hannah)"] * 4
+        document, fresh = state.explain_batch(
+            _batch_body(questions, request_id="durable", workers=2)
+        )
+        assert fresh and document["degradation_level"] == "full"
+        ops = sim.log[start:]
+        journal = str(state.backend.path_of("durable.journal.jsonl"))
+        appends = [
+            op for op in ops if op.path == journal and op.kind == "append"
+        ]
+        assert len(appends) == len(questions)
+        journal_fsyncs = [
+            index
+            for index, op in enumerate(ops)
+            if op.path == journal and op.kind == "fsync"
+        ]
+        assert len(journal_fsyncs) == 1
+        # the journal is durable before the result is written
+        result = str(state.backend.path_of("durable.result.json.tmp"))
+        first_result_op = next(
+            index for index, op in enumerate(ops) if op.path == result
+        )
+        assert journal_fsyncs[0] < first_result_op
+        syncs = [op.kind for op in ops if op.kind in ("fsync", "fsync_dir")]
+        assert len(syncs) <= 5, syncs
+
     def test_batch_result_distinguishes_unknown_from_in_flight(
         self, tmp_path
     ):
@@ -437,6 +474,7 @@ def _live_server(**config_kw):
     try:
         yield httpd, client
     finally:
+        client.close()
         httpd.state.begin_drain("test teardown")
         threading.Thread(target=httpd.shutdown, daemon=True).start()
         thread.join(20)
@@ -836,17 +874,15 @@ class TestServiceKillResume:
             server.kill_wait()
 
         # 2. same batch, server SIGKILLed right after the second
-        #    journal record is durable (a power cut, not a shutdown)
+        #    journal record is flushed (a kill -9, not a shutdown)
         server = _ServerProcess(
             killed_dir, env_extra={"REPRO_JOURNAL_CRASH_AFTER": "2"}
         )
         assert server.client.register_database(REGISTER).ok
-        with pytest.raises(
-            (urllib.request.HTTPError, OSError, ConnectionError)
-        ):
+        with pytest.raises(OSError):
             server.client.explain_batch(body)
         assert server.kill_wait() == -signal.SIGKILL
-        # the durable prefix survived: manifest + exactly 2 records
+        # the flushed prefix survived: manifest + exactly 2 records
         assert (killed_dir / "kill-batch.request.json").exists()
         journal_lines = (
             (killed_dir / "kill-batch.journal.jsonl")
@@ -1032,6 +1068,271 @@ class TestRequestTimeout:
             assert client.explain(_explain_body()).status == 200
             timeouts = client.metrics().body["metrics"]
             assert timeouts["service.timeouts"]["value"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# keep-alive connections: reuse, early-response closes, no Nagle stall
+# ---------------------------------------------------------------------------
+def _connections(httpd) -> int:
+    return httpd.state.metrics.counter("service.connections").value
+
+
+def _prepare_starting(httpd):
+    httpd.state.ready.clear()
+    return httpd.state.ready.set
+
+
+def _prepare_draining(httpd):
+    httpd.state.begin_drain("test drain")
+    return lambda: None
+
+
+def _prepare_shed(httpd):
+    httpd.state.gate.acquire()
+    return httpd.state.gate.release
+
+
+def _prepare_quota(httpd):
+    httpd.state.quotas.check("anonymous")  # spend the one-token burst
+    return lambda: None
+
+
+def _no_preparation(httpd):
+    return lambda: None
+
+
+_JSON = {"Content-Type": "application/json"}
+
+#: (id, config, prepare, path, headers, expected status): every way a
+#: response goes out before the request's declared body is read
+_EARLY_RESPONSES = [
+    ("404-post-route", {}, _no_preparation, "/v1/nope", {}, 404),
+    ("503-starting", {}, _prepare_starting, "/v1/explain", {}, 503),
+    ("503-draining", {}, _prepare_draining, "/v1/explain", {}, 503),
+    ("429-shed", {"shed_after": 1}, _prepare_shed, "/v1/explain", {}, 429),
+    (
+        "429-quota",
+        {"quota": QuotaSpec.parse("1/min:1")},
+        _prepare_quota,
+        "/v1/explain",
+        {},
+        429,
+    ),
+    (
+        "bad-content-length",
+        {},
+        _no_preparation,
+        "/v1/explain",
+        {"Content-Length": "abc"},
+        400,
+    ),
+    (
+        "oversized-content-length",
+        {},
+        _no_preparation,
+        "/v1/explain",
+        {"Content-Length": str(8 * 1024 * 1024 + 1)},
+        400,
+    ),
+    (
+        "chunked-body",
+        {},
+        _no_preparation,
+        "/v1/explain",
+        {"Transfer-Encoding": "chunked"},
+        400,
+    ),
+    (
+        "admin-reload-with-body",
+        {},
+        _no_preparation,
+        "/v1/admin/reload",
+        {},
+        400,
+    ),
+]
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize(
+        "config, prepare, path, headers, status",
+        [case[1:] for case in _EARLY_RESPONSES],
+        ids=[case[0] for case in _EARLY_RESPONSES],
+    )
+    def test_early_response_closes_the_connection(
+        self, config, prepare, path, headers, status
+    ):
+        """A response sent before the declared body was read closes
+        the connection, so the unread body is never parsed as the next
+        request line."""
+        with _live_server(**config) as (httpd, client):
+            client.register_database(REGISTER)
+            restore = prepare(httpd)
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", httpd.server_address[1], timeout=15
+            )
+            try:
+                connection.request(
+                    "POST",
+                    path,
+                    body=json.dumps(_explain_body()).encode(),
+                    headers={**_JSON, **headers},
+                )
+                response = connection.getresponse()
+                assert response.status == status
+                assert response.getheader("Connection") == "close"
+                assert isinstance(json.loads(response.read()), dict)
+                restore()
+                # the same client object asks again: a JSON answer,
+                # not a 400 page parsed out of the leftover body
+                connection.request("GET", "/healthz")
+                follow_up = connection.getresponse()
+                assert follow_up.status == 200
+                assert json.loads(follow_up.read())["status"] == "alive"
+            finally:
+                connection.close()
+
+    def test_read_body_keeps_the_connection(self):
+        """A request whose body was read -- even one answered with an
+        error -- leaves the connection open for the next request."""
+        with _live_server() as (httpd, client):
+            client.register_database(REGISTER)
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", httpd.server_address[1], timeout=15
+            )
+            try:
+                connection.request(
+                    "POST", "/v1/explain", body=b"not json", headers=_JSON
+                )
+                bad = connection.getresponse()
+                assert bad.status == 400
+                assert bad.getheader("Connection") is None
+                bad.read()
+                sock = connection.sock
+                connection.request(
+                    "POST",
+                    "/v1/explain",
+                    body=json.dumps(_explain_body()).encode(),
+                    headers=_JSON,
+                )
+                good = connection.getresponse()
+                assert good.status == 200
+                assert json.loads(good.read())["report"]["answers"]
+                assert connection.sock is sock  # no reconnect
+            finally:
+                connection.close()
+
+    def test_no_nagle_stall_on_sequential_requests(self):
+        """50 keep-alive requests on one connection: with Nagle on,
+        each would wait out a delayed ACK (~44 ms, ~2.2 s in all)."""
+        with _live_server() as (httpd, client):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", httpd.server_address[1], timeout=15
+            )
+            try:
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                sock = connection.sock
+                started = time.perf_counter()
+                for _ in range(50):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - started
+                assert connection.sock is sock
+                assert elapsed < 1.0, f"50 requests took {elapsed:.2f}s"
+            finally:
+                connection.close()
+
+    def test_one_client_thread_uses_one_connection(self, tmp_path):
+        with _live_server(journal_dir=tmp_path / "journal") as (
+            httpd,
+            client,
+        ):
+            assert client.register_database(REGISTER).ok
+            for _ in range(5):
+                assert client.explain(_explain_body()).status == 200
+            assert client.explain_batch(
+                _batch_body(request_id="keep-alive")
+            ).ok
+            assert client.batch_result("keep-alive").ok
+            assert client.request("GET", "/nope").status == 404
+            assert client.explain(_explain_body(database="nope")).status == (
+                404
+            )
+            assert client.metrics().ok
+            # wait_ready, register and all the rest: one connection
+            assert _connections(httpd) == 1
+
+    def test_client_reconnects_after_idle_reap(self):
+        """The server drops an idle connection after its socket
+        timeout; the client's next request reconnects and resends."""
+        with _live_server(request_timeout_s=0.2) as (httpd, client):
+            assert client.register_database(REGISTER).ok
+            before = _connections(httpd)
+            time.sleep(0.6)  # the server reaps the idle connection
+            response = client.explain(_explain_body())
+            assert response.status == 200
+            assert response.body["report"]["answers"]
+            assert _connections(httpd) == before + 1
+            assert client.healthz().status == 200
+            assert _connections(httpd) == before + 1
+
+    def test_client_shared_by_four_threads(self):
+        questions = ["(Person.name: Roger)", "(Person.name: Hannah)"]
+        with _live_server() as (httpd, client):
+            client.register_database(REGISTER)
+            expected = {
+                q: client.explain(_explain_body(q)).body["report"]["answers"]
+                for q in questions
+            }
+            before = _connections(httpd)
+            answers: list = []
+            errors: list = []
+
+            def ask(offset: int) -> None:
+                try:
+                    for i in range(6):
+                        question = questions[(offset + i) % 2]
+                        response = client.explain(_explain_body(question))
+                        answers.append(
+                            (
+                                question,
+                                response.status,
+                                response.body["report"]["answers"],
+                            )
+                        )
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=ask, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not errors, errors
+            assert len(answers) == 24
+            for question, status, got in answers:
+                assert status == 200
+                assert got == expected[question]
+            # one connection per calling thread
+            assert _connections(httpd) == before + 4
+
+    def test_close_and_context_manager(self):
+        with _live_server() as (httpd, client):
+            port = httpd.server_address[1]
+            with ServiceClient(port=port) as scoped:
+                assert scoped.healthz().ok
+                assert scoped.healthz().ok
+            before = _connections(httpd)
+            scoped.close()  # idempotent
+            # a closed client reconnects on its next request
+            assert scoped.healthz().ok
+            assert _connections(httpd) == before + 1
+            scoped.close()
 
 
 # ---------------------------------------------------------------------------
