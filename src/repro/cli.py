@@ -22,7 +22,7 @@ Three subcommands:
   (:mod:`repro.service`; API in ``docs/service.md``)::
 
       python -m repro.cli serve --port 8080 --workers 4 \\
-          --shed-after 8 --quota 10/s --journal-dir ./journal
+          --shed-after 8 --journal-dir ./journal
 
 Every subcommand accepts the shared observability/output options:
 
@@ -384,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "arrivals are shed with HTTP 429 + Retry-After",
     )
     serve.add_argument(
-        "--quota",
-        default=None,
-        metavar="RATE/UNIT[:BURST]",
-        help="per-tenant token-bucket quota keyed on the X-Tenant "
-        "header, e.g. 10/s, 120/min, or 5/s:20",
-    )
-    serve.add_argument(
         "--journal-dir",
         dest="journal_dir",
         default=None,
@@ -416,15 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection socket timeout; a stalled client gets "
         "HTTP 408 and its connection closed; 0 disables "
         "(default: 30)",
-    )
-    serve.add_argument(
-        "--quota-file",
-        dest="quota_file",
-        default=None,
-        metavar="FILE",
-        help="file holding the quota spec (same RATE/UNIT[:BURST] "
-        "grammar; empty file = quotas off), re-read on SIGHUP or "
-        "POST /v1/admin/reload",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -799,38 +783,30 @@ def _run_serve(args, writer: OutputWriter) -> int:
     """Run the why-not HTTP service until a drain signal.
 
     Exit codes: 0 = clean drain (every admitted request finished,
-    pending queue empty), 2 = startup/configuration failure (bad
-    --quota, unbindable --port, corrupt persisted registrations),
-    5 = forced shutdown (second signal, or the drain timed out).
+    pending queue empty), 2 = startup/configuration failure (an
+    invalid option value such as a negative --request-timeout, an
+    unbindable --port, corrupt persisted registrations), 5 = forced
+    shutdown (second signal, or the drain timed out).
     """
     from pathlib import Path
 
     from .service import ServiceConfig, serve
-    from .service.quota import QuotaSpec
 
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
         shed_after=args.shed_after,
-        quota=(
-            QuotaSpec.parse(args.quota)
-            if args.quota is not None
-            else None
-        ),
         journal_dir=(
             Path(args.journal_dir)
             if args.journal_dir is not None
             else None
         ),
         storage=args.storage,
+        # only 0 means "disabled"; ServiceConfig rejects a negative
+        # value instead of silently waiting forever
         request_timeout_s=(
-            args.request_timeout if args.request_timeout > 0 else None
-        ),
-        quota_file=(
-            Path(args.quota_file)
-            if args.quota_file is not None
-            else None
+            None if args.request_timeout == 0 else args.request_timeout
         ),
         drain_timeout_s=args.drain_timeout,
     )

@@ -201,27 +201,6 @@ class StorageError(ReproError):
         self.errno = errno
 
 
-class QuotaExceededError(ReproError):
-    """A tenant exhausted its request quota.
-
-    Raised (and mapped to HTTP 429 by the service layer) when the
-    tenant's token bucket has no token for the request.  Carries the
-    seconds until the bucket refills enough to admit one request, so
-    callers -- and the ``Retry-After`` response header -- can tell the
-    client exactly when retrying becomes useful.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        tenant: str | None = None,
-        retry_after_s: float | None = None,
-    ):
-        super().__init__(message)
-        self.tenant = tenant
-        self.retry_after_s = retry_after_s
-
-
 class ServiceError(ReproError):
     """A why-not service request failed at the HTTP layer.
 

@@ -7,7 +7,6 @@ process with an HTTP/JSON API:
 * :mod:`repro.service.state` -- the application core (socket-free,
   fully unit-testable): database registry, engine cache, admission
   gate, request journaling and recovery;
-* :mod:`repro.service.quota` -- per-tenant token buckets;
 * :mod:`repro.service.server` -- the stdlib HTTP layer and the
   :func:`~repro.service.server.serve` lifecycle;
 * :mod:`repro.service.client` -- a thin stdlib client used by the
@@ -16,7 +15,6 @@ process with an HTTP/JSON API:
   against a real subprocess server.
 """
 
-from .quota import QuotaRegistry, QuotaSpec, TokenBucket
 from .server import (
     SERVE_EXIT_ERROR,
     SERVE_EXIT_FORCED,
@@ -29,8 +27,6 @@ from .state import AdmissionGate, ServiceConfig, ServiceState
 
 __all__ = [
     "AdmissionGate",
-    "QuotaRegistry",
-    "QuotaSpec",
     "ReproServiceServer",
     "SERVE_EXIT_ERROR",
     "SERVE_EXIT_FORCED",
@@ -38,6 +34,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceHandler",
     "ServiceState",
-    "TokenBucket",
     "serve",
 ]

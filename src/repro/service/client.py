@@ -4,7 +4,7 @@ Used by the test suite and the CI smoke driver; also a reasonable
 starting point for real callers.  Every call returns a
 :class:`ServiceResponse` -- status code, parsed JSON body, and the
 ``Retry-After`` header when the server sent one -- and *never* raises
-on HTTP error status: shedding and quota refusals are expected
+on HTTP error status: shedding and draining refusals are expected
 behaviour of a robust service, so the caller inspects
 ``response.status`` instead of catching exceptions.  Transport-level
 failures (connection refused, reset) do raise ``OSError`` and friends;
@@ -22,7 +22,7 @@ re-registering a database ends in the same state).  :meth:`close`, or
 leaving a ``with`` block, closes every connection the client opened.
 
 A client built with a :class:`RetryPolicy` also retries *pushback*
-responses -- 429 (quota / shedding) and 503 (draining) -- waiting the
+responses -- 429 (shedding) and 503 (draining) -- waiting the
 larger of the server's ``Retry-After`` and the policy's backoff between
 attempts.  The wait runs on the ambient clock
 (:func:`repro.obs.clock.current_clock`), so tests drive it with a
@@ -148,20 +148,18 @@ class ServiceResponse:
 
 
 class ServiceClient:
-    """HTTP client bound to one server address (and one tenant)."""
+    """HTTP client bound to one server address."""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 8080,
-        tenant: str | None = None,
         timeout_s: float = 30.0,
         retry: RetryPolicy | None = None,
     ):
         self.host = host
         self.port = port
         self.base = f"http://{host}:{port}"
-        self.tenant = tenant
         self.timeout_s = timeout_s
         #: when set, 429/503 responses are retried (bounded by
         #: ``retry.max_attempts``), honouring ``Retry-After``
@@ -231,8 +229,6 @@ class ServiceClient:
         request_headers: dict[str, str] = {}
         if data is not None:
             request_headers["Content-Type"] = "application/json"
-        if self.tenant is not None:
-            request_headers["X-Tenant"] = self.tenant
         request_headers.update(headers or {})
         connection = self._connection()
         # http.client drops the socket after a Connection: close

@@ -9,14 +9,11 @@ organizing principle, layered in this order on every work request:
 1. **drain check** -- a draining server refuses new work with 503 (and
    ``Retry-After``) while ``/healthz`` stays 200: liveness and
    readiness are different questions;
-2. **tenant quota** -- the ``X-Tenant`` header selects a token bucket
-   (:mod:`repro.service.quota`); an exhausted bucket means 429 with the
-   exact ``Retry-After`` until a token refills;
-3. **admission control** -- a bounded in-flight request set
+2. **admission control** -- a bounded in-flight request set
    (:class:`~repro.service.state.AdmissionGate`); past ``shed_after``,
    arrivals are shed with 429 immediately (mapping
    :class:`~repro.errors.LoadShedError`), never parked unboundedly;
-4. **deadline propagation** -- ``X-Deadline-Ms`` / ``budget`` become a
+3. **deadline propagation** -- ``X-Deadline-Ms`` / ``budget`` become a
    :class:`~repro.robustness.Budget`, so a slow question returns a
    *partial* answer in a 206 envelope instead of hanging the client.
 
@@ -34,8 +31,6 @@ Routes::
                                journaled crash-safe when a storage
                                backend is configured
     GET  /v1/batches/<id>      stored result of a journaled batch
-    POST /v1/admin/reload      re-read --quota-file (also on SIGHUP);
-                               a malformed spec keeps the old one
 
 Connections carry a socket timeout (``--request-timeout``): a client
 that stalls mid-request gets a clean 408 envelope and its connection
@@ -76,7 +71,6 @@ from ..errors import (
     ConfigurationError,
     LoadShedError,
     QueryError,
-    QuotaExceededError,
     ReproError,
     SchemaError,
     ServiceError,
@@ -100,10 +94,9 @@ SERVE_EXIT_ERROR = 2
 SERVE_EXIT_FORCED = 5
 
 #: HTTP status for each library error class the handlers map.  Order
-#: matters: the first isinstance match wins, so the throttling classes
-#: precede the catch-all bad-request ones.
+#: matters: the first isinstance match wins, so the throttling class
+#: precedes the catch-all bad-request ones.
 _ERROR_STATUS: dict[type, int] = {
-    QuotaExceededError: 429,
     LoadShedError: 429,
     ConfigurationError: 400,
     SqlSyntaxError: 400,
@@ -114,9 +107,6 @@ _ERROR_STATUS: dict[type, int] = {
     QueryError: 400,
     ConditionError: 400,
 }
-
-#: Default tenant when the X-Tenant header is absent.
-DEFAULT_TENANT = "anonymous"
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -196,15 +186,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
             + "\n"
         ).encode("utf-8")
-        # count before the bytes hit the wire: a client that reads the
-        # response and immediately scrapes /metrics must see this one
-        self.state.metrics.counter("service.responses").inc()
-        self.state.metrics.counter(
-            f"service.responses.{status}"
-        ).inc()
-        self.state.metrics.counter(
-            f"service.route.{self._route}"
-        ).inc()
         self._write_response(
             status, "application/json", payload, retry_after_s
         )
@@ -221,6 +202,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         payload: bytes,
         retry_after_s: float | None = None,
     ) -> None:
+        # count before the bytes hit the wire: a client that reads the
+        # response and immediately scrapes /metrics must see this one
+        self.state.metrics.counter("service.responses").inc()
+        self.state.metrics.counter(
+            f"service.responses.{status}"
+        ).inc()
+        self.state.metrics.counter(
+            f"service.route.{self._route}"
+        ).inc()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
@@ -279,9 +269,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if isinstance(exc, klass):
                 status = mapped
                 break
-        if isinstance(exc, QuotaExceededError):
-            retry_after = exc.retry_after_s
-        elif isinstance(exc, LoadShedError):
+        if isinstance(exc, LoadShedError):
             retry_after = self.state.config.retry_after_s
         if status == 500 and not isinstance(exc, ReproError):
             # never leak a raw traceback as a closed connection
@@ -335,9 +323,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             budget.setdefault("deadline_ms", parsed)
             body["budget"] = budget
         return body
-
-    def _tenant(self) -> str:
-        return self.headers.get("X-Tenant") or DEFAULT_TENANT
 
     # -- routing -------------------------------------------------------
     # Each verb re-installs the state's clock first: handler threads
@@ -421,14 +406,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             elif path == "/v1/explain_batch":
                 self._route = "explain_batch"
                 self._handle_work(batch=True)
-            elif path == "/v1/admin/reload":
-                # no body needed: the reload source of truth is the
-                # --quota-file on the server host, not the request
-                self._route = "admin_reload"
-                document = self.state.reload_config()
-                self._respond(
-                    200 if document.get("reloaded") else 400, document
-                )
             else:
                 self._fail(
                     404, "ServiceError", f"no such route: POST {path}"
@@ -449,7 +426,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 retry_after_s=state.config.retry_after_s,
             )
             return
-        state.quotas.check(self._tenant())
         state.gate.acquire()
         try:
             body = self._read_body()
@@ -508,7 +484,7 @@ def serve(
     print(
         f"service ready on {host}:{port} "
         f"(workers={config.workers}, shed_after={config.shed_after}, "
-        f"quota={config.quota}, storage={config.resolved_storage})",
+        f"storage={config.resolved_storage})",
         file=out,
         flush=True,
     )
@@ -529,10 +505,6 @@ def serve(
         # shutdown() must not run on the serve_forever thread
         threading.Thread(target=httpd.shutdown, daemon=True).start()
 
-    def _reload_handler(signum, frame) -> None:
-        document = state.reload_config()
-        print(f"config reload: {document}", file=out, flush=True)
-
     previous: dict[int, Any] = {}
     if (
         install_signal_handlers
@@ -540,10 +512,6 @@ def serve(
     ):
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous[signum] = signal.signal(signum, _signal_handler)
-        if hasattr(signal, "SIGHUP"):
-            previous[signal.SIGHUP] = signal.signal(
-                signal.SIGHUP, _reload_handler
-            )
     try:
         if on_started is not None:
             on_started(httpd)

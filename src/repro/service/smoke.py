@@ -68,7 +68,7 @@ def run_smoke(journal_dir: Path, timeout_s: float = 60.0) -> int:
             return _fail("startup", f"unexpected first line {first!r}")
         port = int(first.rsplit(":", 1)[1])
         print(f"smoke: server up on port {port}")
-        client = ServiceClient(port=port, tenant="smoke")
+        client = ServiceClient(port=port)
         client.wait_ready(timeout_s)
 
         response = client.register_database(

@@ -4,7 +4,7 @@ The HTTP layer (:mod:`repro.service.server`) is a thin parser; every
 decision lives here so it can be unit-tested without a socket:
 
 * :class:`ServiceConfig` -- the ``serve`` knobs (worker pool size,
-  admission limit, quota spec, journal directory);
+  admission limit, journal directory, timeouts);
 * :class:`AdmissionGate` -- bounded concurrent admission with load
   shedding: past ``shed_after`` in-flight requests, new arrivals are
   refused with :class:`~repro.errors.LoadShedError` (mapped to ``429``
@@ -57,7 +57,6 @@ from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
 from ..robustness import Budget, CancellationToken
 from ..storage import StorageBackend, open_backend
-from .quota import QuotaRegistry, QuotaSpec
 
 __all__ = [
     "AdmissionGate",
@@ -105,8 +104,6 @@ class ServiceConfig:
     #: admission limit: max concurrently admitted explain requests;
     #: arrivals past it are shed with 429 (``None`` = unlimited)
     shed_after: int | None = None
-    #: per-tenant token-bucket quota (``None`` = no quotas)
-    quota: QuotaSpec | None = None
     #: directory for request manifests + batch journals (``None``
     #: disables request journaling and crash recovery)
     journal_dir: Path | None = None
@@ -118,9 +115,6 @@ class ServiceConfig:
     #: mid-request gets a clean 408 envelope instead of parking a
     #: worker thread forever (``None`` = wait indefinitely)
     request_timeout_s: float | None = 30.0
-    #: optional file holding the quota spec, re-read on SIGHUP /
-    #: ``POST /v1/admin/reload`` (``None`` = quotas fixed at startup)
-    quota_file: Path | None = None
     #: seconds :func:`~repro.service.server.serve` waits for in-flight
     #: requests after the accept loop stops before giving up
     drain_timeout_s: float = 10.0
@@ -145,10 +139,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"request_timeout_s must be positive, got "
                 f"{self.request_timeout_s!r}"
-            )
-        if self.quota_file is not None:
-            object.__setattr__(
-                self, "quota_file", Path(self.quota_file)
             )
         if self.workers < 1:
             raise ConfigurationError(
@@ -229,14 +219,6 @@ class AdmissionGate:
         with self._lock:
             return self._shed_total
 
-    def __enter__(self) -> "AdmissionGate":
-        self.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.release()
-        return False
-
     def __repr__(self) -> str:
         return (
             f"AdmissionGate(limit={self.limit}, active={self.active})"
@@ -255,19 +237,6 @@ class ServiceState:
         #: system clock -- breaking byte-identical kill/resume runs
         self.clock = current_clock()
         self.metrics = MetricsRegistry()
-        quota = config.quota
-        if (
-            quota is None
-            and config.quota_file is not None
-            and config.quota_file.exists()
-        ):
-            # the initial spec comes from the reloadable file; a
-            # malformed file at *startup* fails loudly (exit 2) --
-            # only later reloads degrade to keeping the old spec
-            text = config.quota_file.read_text(encoding="utf-8").strip()
-            if text:
-                quota = QuotaSpec.parse(text)
-        self.quotas = QuotaRegistry(quota)
         self.gate = AdmissionGate(config.shed_after)
         self.cancel = CancellationToken()
         self.ready = threading.Event()
@@ -725,44 +694,6 @@ class ServiceState:
             recovered.append(request_id)
             self.metrics.counter("service.recovery.batches").inc()
         return recovered
-
-    # ------------------------------------------------------------------
-    # Config hot reload
-    # ------------------------------------------------------------------
-    def reload_config(self) -> dict:
-        """Re-read the quota file and swap the registry's spec.
-
-        Triggered by SIGHUP or ``POST /v1/admin/reload``.  A missing,
-        unreadable, or malformed quota file keeps the old spec in
-        force and bumps ``config.reload_failed`` -- a bad reload must
-        degrade to "nothing changed", never to "quotas off".  An
-        *empty* quota file is an explicit request to disable quotas.
-        """
-        if self.config.quota_file is None:
-            return {
-                "reloaded": False,
-                "reason": "no --quota-file configured",
-            }
-        try:
-            text = self.config.quota_file.read_text(
-                encoding="utf-8"
-            ).strip()
-            spec = QuotaSpec.parse(text) if text else None
-        except (OSError, ReproError) as exc:
-            self.metrics.counter("config.reload_failed").inc()
-            return {
-                "reloaded": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "quota": str(self.quotas.spec)
-                if self.quotas.spec
-                else None,
-            }
-        self.quotas.reconfigure(spec)
-        self.metrics.counter("config.reloads").inc()
-        return {
-            "reloaded": True,
-            "quota": str(spec) if spec is not None else None,
-        }
 
     # ------------------------------------------------------------------
     # Drain

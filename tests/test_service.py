@@ -1,16 +1,16 @@
-"""Why-not-as-a-service: quotas, admission, the HTTP surface, chaos.
+"""Why-not-as-a-service: admission, the HTTP surface, chaos.
 
 Four layers of proof, mirroring how the service is built:
 
-1. **units** -- quota parsing/token buckets on a ManualClock, the
-   admission gate, request-budget parsing, config validation;
+1. **units** -- the admission gate, request-budget parsing, config
+   validation;
 2. **state** -- the socket-free application core: registration,
    journaled batches, idempotent retries, recovery, readiness;
 3. **live server** -- a real ``ThreadingHTTPServer`` on an ephemeral
    port driven through :class:`repro.service.client.ServiceClient`:
    happy paths, error envelopes, deterministic overload (429 +
-   ``Retry-After`` while ``/healthz`` stays 200), per-tenant quota
-   refusal, degraded 206 answers, drain semantics, and seeded
+   ``Retry-After`` while ``/healthz`` stays 200), degraded 206
+   answers, drain semantics, and seeded
    :class:`~repro.robustness.FaultPlan` chaos over the socket;
 4. **subprocess** -- the acceptance proofs: a ``workers=4`` batch over
    HTTP SIGKILLed mid-run resumes on restart *byte-identical* to an
@@ -40,18 +40,14 @@ from repro.errors import (
     ConfigurationError,
     JournalError,
     LoadShedError,
-    QuotaExceededError,
     ServiceError,
 )
 from repro.obs import ManualClock, use_clock
 from repro.robustness import BatchJournal, Budget, FaultPlan, inject
 from repro.service import (
     AdmissionGate,
-    QuotaRegistry,
-    QuotaSpec,
     ServiceConfig,
     ServiceState,
-    TokenBucket,
     serve,
 )
 from repro.service.client import ServiceClient
@@ -78,100 +74,6 @@ def _batch_body(questions=None, **extra):
 
 
 # ---------------------------------------------------------------------------
-# quotas
-# ---------------------------------------------------------------------------
-class TestQuotaSpec:
-    @pytest.mark.parametrize(
-        "text, rate, burst",
-        [
-            ("10/s", 10.0, 10),
-            ("120/min", 2.0, 2),
-            ("5/s:20", 5.0, 20),
-            ("0.5/s", 0.5, 1),
-            ("30/minute:3", 0.5, 3),
-            (" 2 / sec : 7 ", 2.0, 7),
-        ],
-    )
-    def test_parse_grammar(self, text, rate, burst):
-        spec = QuotaSpec.parse(text)
-        assert spec.rate_per_s == pytest.approx(rate)
-        assert spec.burst == burst
-
-    @pytest.mark.parametrize(
-        "text", ["", "10", "/s", "10/h", "10/s:", "-1/s", "ten/s", "0/s"]
-    )
-    def test_parse_rejects_garbage(self, text):
-        with pytest.raises(ConfigurationError):
-            QuotaSpec.parse(text)
-
-    def test_invalid_spec_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QuotaSpec(rate_per_s=0.0, burst=1)
-        with pytest.raises(ConfigurationError):
-            QuotaSpec(rate_per_s=1.0, burst=0)
-
-
-class TestTokenBucket:
-    def test_burst_then_refusal_with_exact_retry_after(self):
-        clock = ManualClock()
-        with use_clock(clock):
-            bucket = TokenBucket(QuotaSpec(rate_per_s=2.0, burst=3))
-            assert [bucket.try_acquire() for _ in range(3)] == [
-                0.0,
-                0.0,
-                0.0,
-            ]
-            # empty: one token arrives after 1/rate seconds
-            assert bucket.try_acquire() == pytest.approx(0.5)
-
-    def test_refill_is_lazy_and_capped_at_burst(self):
-        clock = ManualClock()
-        with use_clock(clock):
-            bucket = TokenBucket(QuotaSpec(rate_per_s=1.0, burst=2))
-            assert bucket.try_acquire() == 0.0
-            assert bucket.try_acquire() == 0.0
-            clock.advance(100.0)  # far past burst: capped, not banked
-            assert bucket.try_acquire() == 0.0
-            assert bucket.try_acquire() == 0.0
-            assert bucket.try_acquire() == pytest.approx(1.0)
-
-    def test_manual_clock_never_refills(self):
-        """Under REPRO_MANUAL_CLOCK the clock never moves on its own:
-        the burst is the whole budget, deterministically."""
-        with use_clock(ManualClock()):
-            bucket = TokenBucket(QuotaSpec(rate_per_s=1000.0, burst=1))
-            assert bucket.try_acquire() == 0.0
-            assert bucket.try_acquire() > 0.0
-
-
-class TestQuotaRegistry:
-    def test_disabled_registry_admits_everything(self):
-        registry = QuotaRegistry(None)
-        for _ in range(100):
-            registry.check("anyone")
-        assert len(registry) == 0
-
-    def test_tenants_are_isolated(self):
-        clock = ManualClock()
-        with use_clock(clock):
-            registry = QuotaRegistry(QuotaSpec(1.0, 1))
-            registry.check("alice")
-            with pytest.raises(QuotaExceededError):
-                registry.check("alice")
-            registry.check("bob")  # bob's bucket is untouched
-        assert len(registry) == 2
-
-    def test_error_carries_tenant_and_retry_after(self):
-        with use_clock(ManualClock()):
-            registry = QuotaRegistry(QuotaSpec(2.0, 1))
-            registry.check("alice")
-            with pytest.raises(QuotaExceededError) as excinfo:
-                registry.check("alice")
-        assert excinfo.value.tenant == "alice"
-        assert excinfo.value.retry_after_s == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
 # admission gate
 # ---------------------------------------------------------------------------
 class TestAdmissionGate:
@@ -193,13 +95,6 @@ class TestAdmissionGate:
         assert gate.shed_total == 1
         gate.release()
         gate.acquire()  # a freed slot admits again
-
-    def test_context_manager_releases_on_error(self):
-        gate = AdmissionGate(1)
-        with pytest.raises(RuntimeError):
-            with gate:
-                raise RuntimeError("boom")
-        assert gate.active == 0
 
     def test_release_underflow_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -500,6 +395,18 @@ class TestLiveServer:
             single = client.explain(_explain_body())
             assert single.status == 200
             assert single.body["degradation_level"] == "full"
+            # X-Tenant is an ordinary header: it selects nothing
+            tagged = client.request(
+                "POST",
+                "/v1/explain",
+                body=_explain_body(),
+                headers={"X-Tenant": "alice"},
+            )
+            assert tagged.status == 200
+            assert (
+                tagged.body["report"]["answers"]
+                == single.body["report"]["answers"]
+            )
             batch = client.explain_batch(_batch_body(workers=2))
             assert batch.status == 200
             assert len(batch.body["outcomes"]) == 2
@@ -548,27 +455,6 @@ class TestLiveServer:
             admitted = client.explain(_explain_body())
             assert admitted.status == 200  # admitted work completes
 
-    def test_tenant_quota_yields_429_with_retry_after(self):
-        with _live_server(quota=QuotaSpec.parse("1/min:2")) as (
-            httpd,
-            client,
-        ):
-            client.register_database(REGISTER)
-            alice = ServiceClient(
-                port=httpd.server_address[1], tenant="alice"
-            )
-            bob = ServiceClient(
-                port=httpd.server_address[1], tenant="bob"
-            )
-            assert alice.explain(_explain_body()).status == 200
-            assert alice.explain(_explain_body()).status == 200
-            refused = alice.explain(_explain_body())
-            assert refused.status == 429
-            assert refused.error["type"] == "QuotaExceededError"
-            assert refused.retry_after_s >= 1
-            # bob is unaffected by alice's exhaustion
-            assert bob.explain(_explain_body()).status == 200
-
     def test_draining_refuses_work_but_stays_alive(self):
         with _live_server() as (httpd, client):
             client.register_database(REGISTER)
@@ -591,6 +477,15 @@ class TestLiveServer:
             text = client.metrics_prometheus().body["raw"]
             assert "# TYPE service_responses counter" in text
             assert "service_route_explain 1" in text
+
+    def test_prometheus_scrapes_are_counted(self):
+        with _live_server() as (httpd, client):
+            client.metrics_prometheus()
+            client.metrics_prometheus()
+            snapshot = client.metrics().body["metrics"]
+            # two text scrapes counted before this JSON one responds
+            assert snapshot["service.route.metrics"]["value"] == 2
+            assert snapshot["service.responses.200"]["value"] >= 2
 
     def test_batch_result_lifecycle_over_http(self, tmp_path):
         with _live_server(journal_dir=tmp_path / "journal") as (
@@ -796,7 +691,7 @@ KILL_QUESTIONS = [
 class _ServerProcess:
     """One ``repro.cli serve`` subprocess bound to an ephemeral port."""
 
-    def __init__(self, journal_dir: Path, env_extra=None, extra_args=None):
+    def __init__(self, journal_dir: Path, env_extra=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get(
             "PYTHONPATH", ""
@@ -817,7 +712,6 @@ class _ServerProcess:
                 "4",
                 "--journal-dir",
                 str(journal_dir),
-                *(extra_args or []),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -941,25 +835,24 @@ class TestServiceDrain:
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get(
             "PYTHONPATH", ""
         )
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--quota",
-                "not-a-quota",
-                "--json",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert result.returncode == 2
-        document = json.loads(result.stdout)
-        assert document["error"]["type"] == "ConfigurationError"
-        assert "quota" in document["error"]["message"]
+        # only 0 disables the request timeout: a negative one is a
+        # configuration error, not a silent wait-forever
+        for args, named in (
+            (["--workers", "0"], "workers"),
+            (["--request-timeout", "-5"], "request_timeout_s"),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "serve", *args,
+                 "--json"],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert result.returncode == 2, args
+            document = json.loads(result.stdout)
+            assert document["error"]["type"] == "ConfigurationError"
+            assert named in document["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,11 +985,6 @@ def _prepare_shed(httpd):
     return httpd.state.gate.release
 
 
-def _prepare_quota(httpd):
-    httpd.state.quotas.check("anonymous")  # spend the one-token burst
-    return lambda: None
-
-
 def _no_preparation(httpd):
     return lambda: None
 
@@ -1110,14 +998,6 @@ _EARLY_RESPONSES = [
     ("503-starting", {}, _prepare_starting, "/v1/explain", {}, 503),
     ("503-draining", {}, _prepare_draining, "/v1/explain", {}, 503),
     ("429-shed", {"shed_after": 1}, _prepare_shed, "/v1/explain", {}, 429),
-    (
-        "429-quota",
-        {"quota": QuotaSpec.parse("1/min:1")},
-        _prepare_quota,
-        "/v1/explain",
-        {},
-        429,
-    ),
     (
         "bad-content-length",
         {},
@@ -1142,13 +1022,14 @@ _EARLY_RESPONSES = [
         {"Transfer-Encoding": "chunked"},
         400,
     ),
+    # /v1/admin/reload is not a route: a 404 like any unknown path
     (
         "admin-reload-with-body",
         {},
         _no_preparation,
         "/v1/admin/reload",
         {},
-        400,
+        404,
     ),
 ]
 
@@ -1333,92 +1214,6 @@ class TestKeepAlive:
             assert scoped.healthz().ok
             assert _connections(httpd) == before + 1
             scoped.close()
-
-
-# ---------------------------------------------------------------------------
-# quota hot-reload: SIGHUP and POST /v1/admin/reload
-# ---------------------------------------------------------------------------
-class TestQuotaReload:
-    def test_admin_reload_swaps_the_spec(self, tmp_path):
-        quota_file = tmp_path / "quota.txt"
-        quota_file.write_text("1/min:1\n")
-        with _live_server(quota_file=quota_file) as (httpd, client):
-            client.register_database(REGISTER)
-            assert client.explain(_explain_body()).status == 200
-            assert client.explain(_explain_body()).status == 429
-            quota_file.write_text("100/s:100\n")
-            response = client.request("POST", "/v1/admin/reload")
-            assert response.status == 200
-            assert response.body["reloaded"] is True
-            assert response.body["quota"] == "100/s:100"
-            # new spec in force, and the exhausted bucket was dropped
-            assert client.explain(_explain_body()).status == 200
-
-    def test_malformed_reload_keeps_the_old_spec(self, tmp_path):
-        quota_file = tmp_path / "quota.txt"
-        quota_file.write_text("1/min:1\n")
-        with _live_server(quota_file=quota_file) as (httpd, client):
-            client.register_database(REGISTER)
-            assert client.explain(_explain_body()).status == 200
-            assert client.explain(_explain_body()).status == 429
-            quota_file.write_text("not a quota at all\n")
-            response = client.request("POST", "/v1/admin/reload")
-            assert response.status == 400
-            assert response.body["reloaded"] is False
-            assert "error" in response.body
-            # a bad reload degrades to "nothing changed", never to
-            # "quotas off": the old spec still refuses
-            assert client.explain(_explain_body()).status == 429
-            failed = client.metrics().body["metrics"]
-            assert failed["config.reload_failed"]["value"] >= 1
-
-    def test_empty_quota_file_disables_quotas(self, tmp_path):
-        quota_file = tmp_path / "quota.txt"
-        quota_file.write_text("1/min:1\n")
-        with _live_server(quota_file=quota_file) as (httpd, client):
-            client.register_database(REGISTER)
-            assert client.explain(_explain_body()).status == 200
-            assert client.explain(_explain_body()).status == 429
-            quota_file.write_text("")
-            response = client.request("POST", "/v1/admin/reload")
-            assert response.status == 200
-            assert response.body["quota"] is None
-            assert client.explain(_explain_body()).status == 200
-
-    def test_reload_without_quota_file_is_400(self):
-        with _live_server() as (httpd, client):
-            response = client.request("POST", "/v1/admin/reload")
-            assert response.status == 400
-            assert response.body["reloaded"] is False
-            assert "no --quota-file" in response.body["reason"]
-
-    @pytest.mark.skipif(
-        not hasattr(signal, "SIGHUP"), reason="no SIGHUP on this OS"
-    )
-    def test_sighup_reloads_the_quota_file(self, tmp_path):
-        quota_file = tmp_path / "quota.txt"
-        quota_file.write_text("1/min:1\n")
-        server = _ServerProcess(
-            tmp_path / "journal",
-            extra_args=["--quota-file", str(quota_file)],
-        )
-        try:
-            assert server.client.register_database(REGISTER).ok
-            assert server.client.explain(_explain_body()).status == 200
-            assert server.client.explain(_explain_body()).status == 429
-            quota_file.write_text("100/s:100\n")
-            server.proc.send_signal(signal.SIGHUP)
-            deadline = time.monotonic() + 15
-            while time.monotonic() < deadline:
-                metrics = server.client.metrics().body["metrics"]
-                if metrics.get("config.reloads", {}).get("value", 0):
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("SIGHUP reload never registered in metrics")
-            assert server.client.explain(_explain_body()).status == 200
-        finally:
-            server.kill_wait()
 
 
 # ---------------------------------------------------------------------------
