@@ -15,10 +15,10 @@ Semantic contracts mirrored from ``repro.relational.algebra`` exactly:
 * output attribute order follows the row engine's value-dict
   construction order (including its last-wins behaviour under a
   collapsing renaming);
-* duplicate ``(values, lineage)`` derivations are dropped first-wins
-  for projection, join, union, and difference (the operators where
-  they can arise; leaves, selection, and aggregation provably cannot
-  duplicate a deduplicated input);
+* no duplicate elimination: no two outputs of a node share a lineage,
+  so every derivation is emitted as it is found;
+* join and difference keys match only values that compare ``=``
+  (:func:`~repro.relational.conditions.join_key`);
 * NULL never joins, NULL-keyed probe rows are skipped without a
   comparison tick, and the left value wins on a shared join attribute;
 * aggregation over an empty ungrouped input yields one row.
@@ -52,6 +52,7 @@ from ..relational.conditions import (
     Or,
     TrueCondition,
     compare_values,
+    join_key,
 )
 from .table import Batch, Bitmap, Dictionary, Gather
 
@@ -250,72 +251,12 @@ def _rename_layout(
 
 
 # ---------------------------------------------------------------------------
-# Derived signatures
-# ---------------------------------------------------------------------------
-def _subset_sig_hook(child: Batch, kept):
-    """Signatures of a row-subset batch (select / project output).
-
-    The output's rows are the child's rows at ``kept``, under the same
-    attribute names, so its equality classes are the child's (memoized)
-    classes gathered at ``kept`` and re-densified -- no column is ever
-    materialized for dedupe purposes.
-    """
-
-    def hook(key):
-        source = child.row_signatures(key)
-        if len(kept) == child.nrows:
-            return source, child.signature_count(key)
-        classes: dict[int, int] = {}
-        setdefault = classes.setdefault
-        out = [setdefault(source[i], len(classes)) for i in kept]
-        return out, len(classes)
-
-    return hook
-
-
-def _join_sig_hook(
-    left: Batch,
-    right: Batch,
-    sources: dict[str, tuple[str, str]],
-    li_kept: list[int],
-    ri_kept: list[int],
-):
-    """Signatures of a join output, composed from its inputs'.
-
-    An output row's values over any attr subset split into a left part
-    and a right part, so two output rows are value-equal iff both
-    parts are -- class pairs ``(sig_left, sig_right)`` decide equality
-    without gathering a single column through the join.
-    """
-
-    def hook(key):
-        l_srcs = tuple(
-            sources[a][1] for a in key if sources[a][0] == "l"
-        )
-        r_srcs = tuple(
-            sources[a][1] for a in key if sources[a][0] == "r"
-        )
-        sig_l = left.row_signatures(l_srcs)
-        sig_r = right.row_signatures(r_srcs)
-        classes: dict[tuple[int, int], int] = {}
-        setdefault = classes.setdefault
-        out = [
-            setdefault((sig_l[li], sig_r[ri]), len(classes))
-            for li, ri in zip(li_kept, ri_kept)
-        ]
-        return out, len(classes)
-
-    return hook
-
-
-# ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
 def apply_leaf(
     node: RelationLeaf, batch: Batch, obs: NodeObserver
 ) -> Batch:
-    """Scan: the stored relation *is* the output (tids are unique, so
-    the row engine's dedupe is the identity here)."""
+    """Scan: the stored relation *is* the output."""
     for start, stop in iter_chunks(batch.nrows):
         span = obs.start_chunk(stop - start, "scan")
         try:
@@ -339,7 +280,7 @@ def apply_select(
     # (stored data, node fingerprint): decide the predicate once per
     # cache entry and replay only the spans/ticks on later
     # evaluations.  The shared output batch then also keeps its own
-    # memoized join indexes and signatures across evaluations.
+    # memoized join indexes across evaluations.
     memo_key = None
     memo = None
     if child.source is not None:
@@ -367,9 +308,6 @@ def apply_select(
                 for attr, (_, dictionary) in child.codes.items()
             },
         )
-        out.sig_hook = _subset_sig_hook(child, kept)
-        out.unique_lineage = child.unique_lineage
-        out.lineage_aliases = child.lineage_aliases
         if memo_key is not None and len(child._indexes) < _SELECT_MEMO_MAX:
             child._indexes[memo_key] = (chunk_counts, out)
     for (start, stop), produced in zip(iter_chunks(n), chunk_counts):
@@ -388,65 +326,27 @@ def apply_project(
     node: Project, child: Batch, obs: NodeObserver
 ) -> Batch:
     attrs = node.attributes
-    lineage = child.lineage
     n = child.nrows
-    if child.unique_lineage or child.signature_count(attrs) == n:
-        # rows pairwise-distinct on lineage alone, or value-distinct
-        # over the projected subset: dedupe is the identity, the
-        # output is a full-keep passthrough
-        for start, stop in iter_chunks(n):
-            span = obs.start_chunk(stop - start, "project")
-            try:
-                obs.end_chunk(span, stop - start, stop - start)
-            except BaseException:
-                obs.abort_chunk(span)
-                raise
-            obs.tick_rows(stop - start)
-        kept = range(n)
-        gather_at = None  # identity gather: share the source columns
-        out_lineage = lineage
-    else:
-        # signatures decide value equality over the projected subset
-        # without materializing wide value tuples per row
-        signatures = child.row_signatures(attrs)
-        seen: set = set()
-        seen_add = seen.add
-        kept = []
-        for start, stop in iter_chunks(n):
-            span = obs.start_chunk(stop - start, "project")
-            try:
-                produced = 0
-                for i in range(start, stop):
-                    key = (signatures[i], lineage[i])
-                    if key not in seen:
-                        seen_add(key)
-                        kept.append(i)
-                        produced += 1
-                obs.end_chunk(span, stop - start, produced)
-            except BaseException:
-                obs.abort_chunk(span)
-                raise
-            obs.tick_rows(produced)
-        gather_at = kept
-        out_lineage = [lineage[i] for i in kept]
-    out = Batch(
+    for start, stop in iter_chunks(n):
+        span = obs.start_chunk(stop - start, "project")
+        try:
+            obs.end_chunk(span, stop - start, stop - start)
+        except BaseException:
+            obs.abort_chunk(span)
+            raise
+        obs.tick_rows(stop - start)
+    # identity gathers: the output shares the child's columns
+    return Batch(
         attrs,
-        {attr: Gather(child, attr, gather_at) for attr in attrs},
-        out_lineage,
-        parents=("rows", kept),
+        {attr: Gather(child, attr, None) for attr in attrs},
+        child.lineage,
+        parents=("rows", range(n)),
         codes={
-            attr: (
-                Gather(child, attr, gather_at, codes=True),
-                dictionary,
-            )
+            attr: (Gather(child, attr, None, codes=True), dictionary)
             for attr, (_, dictionary) in child.codes.items()
             if attr in attrs
         },
     )
-    out.sig_hook = _subset_sig_hook(child, kept)
-    out.unique_lineage = child.unique_lineage
-    out.lineage_aliases = child.lineage_aliases
-    return out
 
 
 def _join_layout(
@@ -497,35 +397,7 @@ def apply_join(
             raise
 
     probe = _probe_plan(left, right, left_keys, right_keys)
-    # value-equality classes over the attrs each side contributes to
-    # the output: dedupe compares (left class, right class, lineage)
-    # instead of hashing wide value tuples per candidate row
     left_lineage, right_lineage = left.lineage, right.lineage
-    # Dedupe is provably the identity when each pair gets a unique
-    # merged lineage (per-side unique lineage over disjoint tid
-    # domains: the merged set splits back into its halves) or when
-    # each side's rows are value-distinct over the attrs it
-    # contributes.  Either way the seen-set is skipped wholesale.
-    lineage_safe = (
-        left.unique_lineage
-        and right.unique_lineage
-        and not (left.lineage_aliases & right.lineage_aliases)
-    )
-    if lineage_safe:
-        distinct = True
-    else:
-        left_used = tuple(src for side, src in layout if side == "l")
-        right_used = tuple(src for side, src in layout if side == "r")
-        distinct = (
-            left.signature_count(left_used) == left.nrows
-            and right.signature_count(right_used) == right.nrows
-        )
-        if not distinct:
-            sig_l = left.row_signatures(left_used)
-            sig_r = right.row_signatures(right_used)
-            seen: set = set()
-            seen_add = seen.add
-
     li_kept: list[int] = []
     ri_kept: list[int] = []
     out_lineage: list[frozenset] = []
@@ -535,31 +407,16 @@ def apply_join(
         try:
             li_list, ri_list, comparisons = probe(start, stop)
             obs.tick_comparisons(comparisons)
-            if distinct:
-                produced = len(li_list)
-                out_lineage.extend(
-                    map(
-                        _union_sets,
-                        map(left_lineage.__getitem__, li_list),
-                        map(right_lineage.__getitem__, ri_list),
-                    )
+            produced = len(li_list)
+            out_lineage.extend(
+                map(
+                    _union_sets,
+                    map(left_lineage.__getitem__, li_list),
+                    map(right_lineage.__getitem__, ri_list),
                 )
-                li_kept.extend(li_list)
-                ri_kept.extend(ri_list)
-            else:
-                produced = 0
-                for j in range(len(li_list)):
-                    li = li_list[j]
-                    ri = ri_list[j]
-                    merged = left_lineage[li] | right_lineage[ri]
-                    key = (sig_l[li], sig_r[ri], merged)
-                    if key in seen:
-                        continue
-                    seen_add(key)
-                    li_kept.append(li)
-                    ri_kept.append(ri)
-                    out_lineage.append(merged)
-                    produced += 1
+            )
+            li_kept.extend(li_list)
+            ri_kept.extend(ri_list)
             obs.end_chunk(span, stop - start, produced)
         except BaseException:
             obs.abort_chunk(span)
@@ -580,19 +437,13 @@ def apply_join(
                 Gather(source, src, taken, codes=True),
                 entry[1],
             )
-    out = Batch(
+    return Batch(
         out_attrs,
         columns,
         out_lineage,
         parents=("pairs", list(zip(li_kept, ri_kept))),
         codes=codes,
     )
-    out.sig_hook = _join_sig_hook(
-        left, right, dict(zip(out_attrs, layout)), li_kept, ri_kept
-    )
-    out.unique_lineage = lineage_safe
-    out.lineage_aliases = left.lineage_aliases | right.lineage_aliases
-    return out
 
 
 def _probe_plan(
@@ -612,7 +463,7 @@ def _probe_plan(
     * **dictionary-driven** (single key, left column has codes): the
       index lookup and NULL check are decided once per *distinct* key
       value, the per-row work is one code-array load;
-    * **scalar** (single key, no codes): probe with the bare value
+    * **scalar** (single key, no codes): probe with the value's join key
       against a scalar index -- no one-tuple allocation per row;
     * **tuple** (compound or empty key): the general path, identical
       to the row engine's key construction.
@@ -624,7 +475,7 @@ def _probe_plan(
             codes, dictionary = encoded
             # None sentinel = NULL skip; () = miss (ticks 1, no rows)
             by_code = [
-                None if value is None else index.get(value, ())
+                None if value is None else index.get(join_key(value), ())
                 for value in dictionary.values
             ]
 
@@ -660,7 +511,7 @@ def _probe_plan(
                 value = column[li]
                 if value is None:
                     continue  # SQL: NULL never joins (no probe tick)
-                matches = get(value)
+                matches = get(join_key(value))
                 if matches is None:
                     comparisons += 1
                     continue
@@ -686,9 +537,9 @@ def _probe_plan(
         get = index.get
         for li in range(start, stop):
             key = tuple(col[li] for col in left_key_cols)
-            if any(v is None for v in key):
+            if None in key:
                 continue  # SQL: NULL never joins (no probe tick)
-            matches = get(key)
+            matches = get(tuple(map(join_key, key)))
             if matches is None:
                 comparisons += 1
                 continue
@@ -722,41 +573,29 @@ def apply_union(
     out_columns: list[list] = [[] for _ in out_attrs]
     out_lineage: list[frozenset] = []
     tagged: list[tuple[int, int]] = []
-    seen: set = set()
 
     for slot, (cols, batch) in enumerate(
         ((left_cols, left), (right_cols, right))
     ):
-        value_rows = list(zip(*cols)) if batch.nrows else []
-        lineage = batch.lineage
         for start, stop in iter_chunks(batch.nrows):
             span = obs.start_chunk(stop - start, "union")
             try:
                 obs.tick_comparisons(stop - start)
-                produced = 0
-                for i in range(start, stop):
-                    key = (value_rows[i], lineage[i])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    for acc, col in zip(out_columns, cols):
-                        acc.append(col[i])
-                    out_lineage.append(lineage[i])
-                    tagged.append((slot, i))
-                    produced += 1
-                obs.end_chunk(span, stop - start, produced)
+                for acc, col in zip(out_columns, cols):
+                    acc.extend(col[start:stop])
+                out_lineage.extend(batch.lineage[start:stop])
+                tagged.extend((slot, i) for i in range(start, stop))
+                obs.end_chunk(span, stop - start, stop - start)
             except BaseException:
                 obs.abort_chunk(span)
                 raise
-            obs.tick_rows(produced)
-    out = Batch(
+            obs.tick_rows(stop - start)
+    return Batch(
         out_attrs,
         dict(zip(out_attrs, out_columns)),
         out_lineage,
         parents=("tagged", tagged),
     )
-    out.lineage_aliases = left.lineage_aliases | right.lineage_aliases
-    return out
 
 
 def apply_difference(
@@ -770,7 +609,9 @@ def apply_difference(
         span = obs.start_chunk(stop - start, "block")
         try:
             obs.tick_comparisons(stop - start)
-            blocked.update(right_rows[start:stop])
+            blocked.update(
+                tuple(map(join_key, row)) for row in right_rows[start:stop]
+            )
             obs.end_chunk(span, stop - start, 0)
         except BaseException:
             obs.abort_chunk(span)
@@ -781,23 +622,14 @@ def apply_difference(
     out_columns: list[list] = [[] for _ in out_attrs]
     out_lineage: list[frozenset] = []
     kept: list[int] = []
-    # unique lineage makes the (values, lineage) seen-set an identity
-    dedupe = not left.unique_lineage
-    seen: set = set()
     for start, stop in iter_chunks(left.nrows):
         span = obs.start_chunk(stop - start, "filter")
         try:
             obs.tick_comparisons(stop - start)
             produced = 0
             for i in range(start, stop):
-                values = left_rows[i]
-                if values in blocked:
+                if tuple(map(join_key, left_rows[i])) in blocked:
                     continue
-                if dedupe:
-                    key = (values, lineage[i])
-                    if key in seen:
-                        continue
-                    seen.add(key)
                 for acc, col in zip(out_columns, left_cols):
                     acc.append(col[i])
                 out_lineage.append(lineage[i])
@@ -808,15 +640,12 @@ def apply_difference(
             obs.abort_chunk(span)
             raise
         obs.tick_rows(produced)
-    out = Batch(
+    return Batch(
         out_attrs,
         dict(zip(out_attrs, out_columns)),
         out_lineage,
         parents=("rows", kept),
     )
-    out.unique_lineage = left.unique_lineage
-    out.lineage_aliases = left.lineage_aliases
-    return out
 
 
 def apply_aggregate(
@@ -884,11 +713,9 @@ def apply_aggregate(
         obs.tick_rows(stop - start)
         emitted += stop - start
     assert emitted == total
-    out = Batch(
+    return Batch(
         out_attrs,
         columns,
         out_lineage,
         parents=("groups", members),
     )
-    out.lineage_aliases = child.lineage_aliases
-    return out

@@ -28,6 +28,7 @@ from collections import OrderedDict
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import EvaluationError, UnknownRelationError
+from ..relational.conditions import join_key
 from ..relational.instance import DatabaseInstance, RelationInstance
 from ..relational.tuples import Tuple, Value
 
@@ -242,12 +243,7 @@ class Batch:
         "parents",
         "source",
         "codes",
-        "sig_hook",
-        "unique_lineage",
-        "lineage_aliases",
         "_indexes",
-        "_signatures",
-        "_signature_counts",
     )
 
     def __init__(
@@ -265,29 +261,8 @@ class Batch:
         self.parents = parents
         self.source = source
         self.codes = codes or {}
-        #: optional derived-signature computer installed by the
-        #: producing operator: ``hook(attrs) -> (signatures, count)``.
-        #: Lets select/project/join outputs derive signatures from
-        #: their *inputs'* (memoized) signatures without materializing
-        #: any gathered column -- hashing then only ever happens at
-        #: the leaves, once per cache entry.
-        self.sig_hook = None
-        #: rows have pairwise-distinct lineage sets.  Leaf lineage is
-        #: ``{tid}`` with unique tids, and alias-disjoint joins
-        #: preserve the property -- in which case any dedupe keyed on
-        #: ``(values, lineage)`` is provably the identity and the
-        #: operators skip their seen-set bookkeeping wholesale.
-        self.unique_lineage = False
-        #: tid prefixes (``alias`` of ``alias:k``) occurring in any
-        #: row's lineage; disjoint prefix sets prove disjoint lineage
-        #: domains between two join inputs.
-        self.lineage_aliases: frozenset[str] = frozenset()
         #: memoized join hash indexes, keyed by the key-attribute tuple
         self._indexes: dict[tuple[str, ...], dict] = {}
-        #: memoized row signatures, keyed by attribute subset
-        self._signatures: dict[tuple[str, ...], list[int]] = {}
-        #: distinct-class count per memoized signature subset
-        self._signature_counts: dict[tuple[str, ...], int] = {}
 
     @property
     def nrows(self) -> int:
@@ -313,65 +288,17 @@ class Batch:
             self.codes[attr] = entry
         return entry
 
-    def row_signatures(self, attrs: Sequence[str]) -> list[int]:
-        """Per-row value-equality classes over an attribute subset.
-
-        Rows get the same signature iff their value tuples over
-        *attrs* compare ``==`` -- exactly the value-equality the row
-        engine's dedupe sees (``5`` and ``5.0`` share a class, as dict
-        equality treats them).  Signatures let join and projection
-        dedupe on two ints instead of hashing wide value tuples per
-        output row, and they are memoized per subset, so leaf batches
-        held by the table cache pay once per cache entry.  Signatures
-        are only comparable within one batch.
-        """
-        key = tuple(attrs)
-        cached = self._signatures.get(key)
-        if cached is not None:
-            return cached
-        if self.sig_hook is not None:
-            out, count = self.sig_hook(key)
-        elif not key:
-            out = [0] * self.nrows
-            count = 1 if out else 0
-        else:
-            cols = [self.column(a) for a in key]
-            classes: dict[tuple, int] = {}
-            setdefault = classes.setdefault
-            out = [
-                setdefault(row, len(classes))
-                for row in zip(*cols)
-            ]
-            count = len(classes)
-        self._signatures[key] = out
-        self._signature_counts[key] = count
-        return out
-
-    def signature_count(self, attrs: Sequence[str]) -> int:
-        """Number of distinct signature classes over *attrs*.
-
-        ``signature_count(attrs) == nrows`` proves every row is
-        value-distinct over the subset -- the operators use this to
-        skip dedupe bookkeeping entirely (a unique-keyed leaf keeps
-        this property through every join that preserves its key).
-        """
-        key = tuple(attrs)
-        count = self._signature_counts.get(key)
-        if count is None:
-            self.row_signatures(key)
-            count = self._signature_counts[key]
-        return count
-
     def join_index(
         self, key_attrs: tuple[str, ...]
     ) -> dict[tuple, list[int]]:
         """Hash index ``key values -> row positions`` (memoized).
 
-        Rows with a NULL in any key attribute are excluded (SQL: NULL
-        never joins).  The empty key indexes every row under ``()``
-        (cross product).  Memoized on the batch, so a leaf batch held
-        by the table cache builds its index once per cache entry, not
-        once per evaluation.
+        Values are keyed by :func:`~repro.relational.conditions.join_key`,
+        so ``True`` never matches ``1``.  Rows with a NULL in any key
+        attribute are excluded (SQL: NULL never joins).  The empty key
+        indexes every row under ``()`` (cross product).  Memoized on
+        the batch, so a leaf batch held by the table cache builds its
+        index once per cache entry, not once per evaluation.
         """
         cached = self._indexes.get(key_attrs)
         if cached is not None:
@@ -381,20 +308,20 @@ class Batch:
             key_columns = [self.column(a) for a in key_attrs]
             for row in range(self.nrows):
                 key = tuple(col[row] for col in key_columns)
-                if any(v is None for v in key):
+                if None in key:
                     continue
-                index.setdefault(key, []).append(row)
+                index.setdefault(tuple(map(join_key, key)), []).append(row)
         else:
             index[()] = list(range(self.nrows))
         self._indexes[key_attrs] = index
         return index
 
     def scalar_join_index(self, key_attr: str) -> dict:
-        """Single-attribute hash index ``value -> row positions``.
+        """Single-attribute hash index ``join_key(value) -> rows``.
 
-        The scalar twin of :meth:`join_index` (same NULL exclusion,
-        same memoization) without the per-row one-tuple wrapping --
-        the common single-key join probes with the bare value.
+        The scalar twin of :meth:`join_index` (same keys, NULL
+        exclusion and memoization) without the per-row one-tuple
+        wrapping -- the common single-key join probes with one key.
         """
         memo_key = ("scalar", key_attr)
         cached = self._indexes.get(memo_key)
@@ -415,19 +342,20 @@ class Batch:
                 value = values[code]
                 if value is None:
                     continue
-                prior = index.get(value)
+                key = join_key(value)
+                prior = index.get(key)
                 if prior is None:
-                    index[value] = rows
+                    index[key] = rows
                 else:
-                    # distinct codes hashing equal (5 vs 5.0): merge
+                    # distinct codes with one key (5 vs 5.0): merge
                     # back into row order, as a value-keyed build would
-                    index[value] = sorted(prior + rows)
+                    index[key] = sorted(prior + rows)
         else:
             setdefault = index.setdefault
             for row, value in enumerate(self.column(key_attr)):
                 if value is None:
                     continue
-                setdefault(value, []).append(row)
+                setdefault(join_key(value), []).append(row)
         self._indexes[memo_key] = index
         return index
 
@@ -464,23 +392,13 @@ class ColumnarTable:
             dictionary = Dictionary()
             codes[attr] = (dictionary.encode_many(raw), dictionary)
             columns[attr] = raw
-        lineages = [t.lineage for t in source]
         self.batch = Batch(
             attrs,
             columns,
-            lineages,
+            [t.lineage for t in source],
             parents=None,
             source=source,
             codes=codes,
-        )
-        # verified, not assumed: a hand-built instance may carry
-        # arbitrary lineage, so uniqueness is checked once per cache
-        # entry rather than trusted from the tid convention
-        self.batch.unique_lineage = (
-            len(set(lineages)) == len(lineages)
-        )
-        self.batch.lineage_aliases = frozenset(
-            tid.split(":", 1)[0] for lin in lineages for tid in lin
         )
 
     @property

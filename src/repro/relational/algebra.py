@@ -39,6 +39,7 @@ from .conditions import (
     Or,
     TrueCondition,
     Var,
+    join_key,
 )
 from .renaming import Renaming
 from .schema import RelationSchema, check_disjoint
@@ -58,15 +59,16 @@ def _tick_comparisons(n: int) -> None:
             context.tick_comparisons(n)
 
 
-def _dedupe(tuples: Iterable[Tuple]) -> list[Tuple]:
-    """Drop duplicate (values, lineage) derivations, keeping order."""
-    seen: set[Tuple] = set()
-    out: list[Tuple] = []
-    for t in tuples:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+def _join_key(t: Tuple, attributes: tuple[str, ...]) -> tuple | None:
+    """Hash-join key of *t* over *attributes*, or ``None`` when one of
+    them is NULL (SQL: NULL never joins)."""
+    key = []
+    for attribute in attributes:
+        value = t[attribute]
+        if value is None:
+            return None
+        key.append(join_key(value))
+    return tuple(key)
 
 
 class Query:
@@ -221,7 +223,7 @@ class RelationLeaf(Query):
     def apply(self, inputs: Sequence[Sequence[Tuple]]) -> list[Tuple]:
         if len(inputs) != 1:
             raise QueryError("a relation leaf takes exactly one input")
-        return _dedupe(inputs[0])
+        return list(inputs[0])
 
     def describe(self) -> str:
         return f"[{self.alias}]"
@@ -261,7 +263,7 @@ class Select(Query):
         for t in child_tuples:
             if self.condition.evaluate(t):
                 out.append(t.derive())
-        return _dedupe(out)
+        return out
 
     def describe(self) -> str:
         return f"sigma[{self.condition!r}]"
@@ -297,7 +299,7 @@ class Project(Query):
 
     def apply(self, inputs: Sequence[Sequence[Tuple]]) -> list[Tuple]:
         (child_tuples,) = inputs
-        return _dedupe(t.project(self.attributes) for t in child_tuples)
+        return [t.project(self.attributes) for t in child_tuples]
 
     def describe(self) -> str:
         return f"pi[{', '.join(self.attributes)}]"
@@ -342,26 +344,24 @@ class Join(Query):
         left_keys = tuple(t.left for t in self.renaming)
         right_keys = tuple(t.right for t in self.renaming)
         left_map = self.renaming.left_mapping(self.left.target_type)
-        right_map = self.renaming.right_mapping(self.right.target_type)
 
-        # Hash join on the renaming pairs (cross product when empty);
-        # each right tuple's renamed pairs are computed once, not per
-        # match.
-        index: dict[
-            tuple[Value, ...], list[tuple[Tuple, list[tuple[str, Value]]]]
-        ] = {}
+        # Hash join on the renaming pairs (cross product when empty).
+        # A right tuple contributes its values minus the join
+        # attributes, which the left side already holds under their
+        # new names; that rest is computed once, not per match.
+        index: dict[tuple, list[tuple[Tuple, dict[str, Value]]]] = {}
         _tick_comparisons(len(right_tuples))
         for rt in right_tuples:
-            key = tuple(rt[a] for a in right_keys)
-            if any(v is None for v in key):
-                continue  # SQL: NULL never joins
-            renamed = [(right_map.get(a, a), v) for a, v in rt.items()]
-            index.setdefault(key, []).append((rt, renamed))
+            key = _join_key(rt, right_keys)
+            if key is None:
+                continue
+            rest = {a: v for a, v in rt.items() if a not in right_keys}
+            index.setdefault(key, []).append((rt, rest))
 
         out: list[Tuple] = []
         for lt in left_tuples:
-            key = tuple(lt[a] for a in left_keys)
-            if any(v is None for v in key):
+            key = _join_key(lt, left_keys)
+            if key is None:
                 continue
             matches = index.get(key, ())
             # per-probe tick: bounds a runaway (e.g. accidental cross)
@@ -370,16 +370,15 @@ class Join(Query):
             if not matches:
                 continue
             left_values = {left_map.get(a, a): v for a, v in lt.items()}
-            for rt, renamed in matches:
-                values = dict(left_values)
-                for new_name, value in renamed:
-                    if new_name in values:
-                        continue  # shared join attribute, equal value
-                    values[new_name] = value
+            for rt, rest in matches:
                 out.append(
-                    Tuple._adopt(values, lt.lineage | rt.lineage, (lt, rt))
+                    Tuple._adopt(
+                        {**left_values, **rest},
+                        lt.lineage | rt.lineage,
+                        (lt, rt),
+                    )
                 )
-        return _dedupe(out)
+        return out
 
     def describe(self) -> str:
         if not self.renaming.triples:
@@ -486,7 +485,7 @@ class Aggregate(Query):
             out.append(
                 Tuple._adopt(values, frozenset(lineage), tuple(group))
             )
-        return _dedupe(out)
+        return out
 
     def describe(self) -> str:
         calls = ", ".join(repr(c) for c in self.calls)
@@ -536,7 +535,7 @@ class Union(Query):
                 right_map.get(attr, attr): value for attr, value in t.items()
             }
             out.append(Tuple._adopt(values, t.lineage, (t,)))
-        return _dedupe(out)
+        return out
 
     def describe(self) -> str:
         return "union"
@@ -587,20 +586,24 @@ class Difference(Query):
         right_map = self.renaming.right_mapping(self.right.target_type)
         blocked_values: set[frozenset] = set()
         for t in right_tuples:
-            values = {
-                right_map.get(attr, attr): value
-                for attr, value in t.items()
-            }
-            blocked_values.add(frozenset(values.items()))
+            blocked_values.add(
+                frozenset(
+                    (right_map.get(attr, attr), join_key(value))
+                    for attr, value in t.items()
+                )
+            )
         out: list[Tuple] = []
         for t in left_tuples:
             values = {
                 left_map.get(attr, attr): value for attr, value in t.items()
             }
-            if frozenset(values.items()) in blocked_values:
+            key = frozenset(
+                (attr, join_key(value)) for attr, value in values.items()
+            )
+            if key in blocked_values:
                 continue
             out.append(Tuple._adopt(values, t.lineage, (t,)))
-        return _dedupe(out)
+        return out
 
     def describe(self) -> str:
         return "difference"

@@ -62,6 +62,17 @@ def _comparable(a: Value, b: Value) -> bool:
     return type(a) is type(b)
 
 
+def join_key(value: Value) -> Value:
+    """*value* as a hash key that matches only what it compares ``=`` to.
+
+    Python hashes ``True`` like ``1`` and finds them equal, while
+    :func:`compare_values` keeps booleans apart from numbers; so a
+    boolean is keyed with its domain.  Every other value is its own
+    key: ``1`` and ``1.0`` still match.  NULL is the caller's to skip.
+    """
+    return (bool, value) if value.__class__ is bool else value
+
+
 def compare_values(a: Value, op: str, b: Value) -> bool:
     """Apply comparison *op* to two values under SQL-like semantics.
 

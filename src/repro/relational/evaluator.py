@@ -45,7 +45,8 @@ def children_index(output: Sequence[Tuple]) -> dict[Tuple, ChildPositions]:
     A tuple without parents (a leaf's copy of its input) indexes under
     itself: it is its own predecessor.  Parents are matched by tuple
     equality, as :func:`repro.core.successors.find_successors` matches
-    them against the compatibles.
+    them against the compatibles; they hash by lineage, which no two
+    tuples of one node's inputs share.
     """
     index: dict[Tuple, int | list[int]] = {}
     for position, t in enumerate(output):

@@ -18,11 +18,17 @@ for provenance:
   manipulation that produced this tuple.  ``parents`` is what makes a
   derived tuple a *successor* (Def. 2.9) of its inputs.
 
-Tuples compare equal on ``(values, lineage)``: two derivations of the
-same values from different base data are distinct objects of study for
-why-not provenance (the paper denotes the three outputs of its running
-example's ``Q2`` as ``t4 t7 t2``, ``t4 t8 t1``, ``t5 t9 t3`` -- i.e. by
-their lineage).
+A tuple is identified by its lineage, as the paper identifies them: it
+writes the three outputs of its running example's ``Q2`` as
+``t4 t7 t2``, ``t4 t8 t1``, ``t5 t9 t3``.  Two derivations of the same
+values from different base data are distinct objects of study for
+why-not provenance.  So a tuple hashes by its lineage alone (a
+frozenset, which caches its hash) and compares equal on
+``(values, lineage)``: a projection keeps its parent's lineage and hash
+but not its values, so the two stay unequal.  No two outputs of one
+query node share a lineage (``tests/test_lineage_key_properties.py``),
+so within a node's output the hash is a key.  Tuples without lineage
+all share one hash.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ class Tuple:
         Direct predecessor tuples w.r.t. the producing manipulation.
     """
 
-    __slots__ = ("_values", "_tid", "_lineage", "_parents", "_hash")
+    __slots__ = ("_values", "_tid", "_lineage", "_parents")
 
     def __init__(
         self,
@@ -112,9 +118,6 @@ class Tuple:
             self._lineage = frozenset(merged)
         else:
             self._lineage = frozenset()
-        self._hash = hash(
-            (frozenset(self._values.items()), self._lineage)
-        )
 
     @classmethod
     def _adopt(
@@ -123,25 +126,18 @@ class Tuple:
         lineage: frozenset[str],
         parents: tuple["Tuple", ...] = (),
         tid: str | None = None,
-        hash_: int | None = None,
     ) -> "Tuple":
         """Build a tuple that takes ownership of *values*, uncopied.
 
         For the operators only: *values* must be a non-empty dict that
         nobody mutates afterwards.  Tuples never mutate theirs, so a
-        derived tuple may share its parent's dict (and, with the same
-        values and lineage, its hash).
+        derived tuple may share its parent's dict.
         """
         t = cls.__new__(cls)
         t._values = values
         t._tid = tid
         t._lineage = lineage
         t._parents = parents
-        t._hash = (
-            hash((frozenset(values.items()), lineage))
-            if hash_ is None
-            else hash_
-        )
         return t
 
     # ------------------------------------------------------------------
@@ -228,11 +224,9 @@ class Tuple:
 
         The result records this tuple as its single parent -- what a
         selection outputs for each tuple it keeps.  It shares this
-        tuple's value dict and hash.
+        tuple's value dict.
         """
-        return Tuple._adopt(
-            self._values, self._lineage, (self,), hash_=self._hash
-        )
+        return Tuple._adopt(self._values, self._lineage, (self,))
 
     def merge(self, other: "Tuple") -> "Tuple":
         """Return the join of this tuple with *other*.
@@ -291,7 +285,7 @@ class Tuple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._lineage)
 
     def how_provenance(self) -> str:
         """Render the lineage as a how-provenance style string.

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import QueryError, SchemaError
+from repro.columnar import evaluate_columnar
 from repro.relational import (
     Aggregate,
     AggregateCall,
+    Database,
+    Difference,
     Join,
     Project,
     RelationLeaf,
@@ -17,6 +20,7 @@ from repro.relational import (
     assign_labels,
     attr_cmp,
     base_tuple,
+    evaluate,
     find_node,
     subtree_covering,
     tabq_order,
@@ -48,11 +52,6 @@ class TestRelationLeaf:
         node = leaf("A", "x")
         data = rows("A", {"x": 1}, {"x": 2})
         assert node.apply([data]) == data
-
-    def test_apply_dedupes(self):
-        node = leaf("A", "x")
-        t = base_tuple("A", "A:1", x=1)
-        assert node.apply([[t, t]]) == [t]
 
     def test_apply_wrong_arity(self):
         node = leaf("A", "x")
@@ -117,11 +116,6 @@ class TestProject:
         out = node.apply([data])
         # same projected values, distinct lineage: both survive
         assert len(out) == 2
-
-    def test_dedupes_identical_derivations(self):
-        node = Project(leaf("A", "x", "y"), ["A.x"])
-        t = base_tuple("A", "A:1", x=1, y=2)
-        assert len(node.apply([[t, t]])) == 1
 
     def test_validation(self):
         with pytest.raises(QueryError):
@@ -310,6 +304,90 @@ class TestUnion:
 
     def test_target_type(self):
         assert self._union().target_type == frozenset({"v"})
+
+
+# ---------------------------------------------------------------------------
+# Value domains: True is not 1 (compare_values keeps booleans apart)
+# ---------------------------------------------------------------------------
+def _domains_db():
+    db = Database("domains")
+    db.create_table("A", ["id", "k", "j"], key="id")
+    db.create_table("C", ["id", "k", "j"], key="id")
+    db.create_table("B", ["id", "k", "j"], key="id")
+    db.create_table("D", ["id", "k"], key="id")
+    for i, k in enumerate([True, 1, 1.0, None, False]):
+        db.insert("A", id=i, k=k, j="x")
+    db.insert("C", id=0, k=0, j="x")
+    for i, k in enumerate([1, True, None, 0]):
+        db.insert("B", id=i, k=k, j="x")
+    for i, k in enumerate([1, None]):
+        db.insert("D", id=i, k=k)
+    return db
+
+
+def _engines(root, db):
+    """Root output lineages from the row engine and the columnar row
+    view, which must agree."""
+    instance = db.instance()
+    row = evaluate(root, instance).output(root)
+    col = evaluate_columnar(root, instance).row_view().output(root)
+    assert [(t.values, t.lineage) for t in row] == [
+        (t.values, t.lineage) for t in col
+    ]
+    return {"*".join(sorted(t.lineage)) for t in row}
+
+
+class TestValueDomains:
+    def _leaf(self, db, name):
+        return RelationLeaf(db.table(name).schema)
+
+    def test_join_keeps_booleans_apart_from_numbers(self):
+        db = _domains_db()
+        root = Join(
+            self._leaf(db, "A"),
+            self._leaf(db, "B"),
+            Renaming.of(("A.k", "B.k", "k")),
+        )
+        # True~True, 1~1 and 1.0~1; False never meets 0, NULL never joins
+        assert _engines(root, db) == {"A:0*B:1", "A:1*B:0", "A:2*B:0"}
+
+    def test_compound_key_join_keeps_booleans_apart(self):
+        db = _domains_db()
+        root = Join(
+            self._leaf(db, "A"),
+            self._leaf(db, "B"),
+            Renaming.of(("A.k", "B.k", "k"), ("A.j", "B.j", "j")),
+        )
+        assert _engines(root, db) == {"A:0*B:1", "A:1*B:0", "A:2*B:0"}
+
+    def test_uncoded_probe_keeps_booleans_apart(self):
+        # a union output carries no dictionary codes, so the columnar
+        # engine probes with plain values
+        db = _domains_db()
+        union = Union(
+            Project(self._leaf(db, "A"), ["A.k"]),
+            Project(self._leaf(db, "C"), ["C.k"]),
+            Renaming.of(("A.k", "C.k", "u")),
+        )
+        root = Join(
+            union,
+            Project(self._leaf(db, "B"), ["B.k"]),
+            Renaming.of(("u", "B.k", "k")),
+        )
+        assert _engines(root, db) == {
+            "A:0*B:1", "A:1*B:0", "A:2*B:0", "B:3*C:0",
+        }
+
+    def test_difference_keeps_booleans_apart_from_numbers(self):
+        db = _domains_db()
+        root = Difference(
+            Project(self._leaf(db, "A"), ["A.k"]),
+            Project(self._leaf(db, "D"), ["D.k"]),
+            Renaming.of(("A.k", "D.k", "k")),
+        )
+        # True and False stay; 1 and 1.0 are blocked by D's 1 and
+        # NULL by D's NULL
+        assert _engines(root, db) == {"A:0", "A:4"}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Covers the representation layer (interned-value dictionaries, bitmap
 selection vectors, the batch/table cache) and the operator edge cases
 the Table-4 differential suite cannot reach: empty relations, NULL
 join keys, cross-type value collisions (``5`` vs ``5.0``), multi-chunk
-batches, union/difference dedupe, and the select-memo replay path.
+batches, union/difference, and the select-memo replay path.
 Each operator case asserts full parity with the row engine -- per-node
 values, lineage, *and* budget/operator counters.
 """
@@ -132,7 +132,7 @@ class TestBitmap:
 
 
 # ---------------------------------------------------------------------------
-# Table cache and signatures
+# Table cache
 # ---------------------------------------------------------------------------
 def _tiny_db():
     db = Database("tiny-col")
@@ -153,30 +153,6 @@ class TestTableCacheAndSignatures:
         assert columnar_table(instance, "R") is first
         clear_table_cache()
         assert columnar_table(instance, "R") is not first
-
-    def test_leaf_batch_lineage_is_verified_unique(self):
-        db = _tiny_db()
-        spec = SPJASpec(aliases={"R": "R"}, projection=("R.x",))
-        canonical = canonicalize(spec, db.schema)
-        instance = db.input_instance(canonical.aliases)
-        batch = columnar_table(instance, "R").batch
-        assert batch.unique_lineage
-        assert batch.lineage_aliases == {"R"}
-        assert len(set(batch.lineage)) == batch.nrows
-
-    def test_row_signatures_are_value_based_not_code_based(self):
-        """``5`` and ``5.0`` carry distinct dictionary codes but are
-        equal *values*: signature classes must merge them, matching
-        the row engine's dict-equality dedupe."""
-        db = _tiny_db()
-        spec = SPJASpec(aliases={"R": "R"}, projection=("R.x",))
-        canonical = canonicalize(spec, db.schema)
-        instance = db.input_instance(canonical.aliases)
-        batch = columnar_table(instance, "R").batch
-        sigs = batch.row_signatures(("R.x",))
-        assert sigs[0] == sigs[1]  # 5 and 5.0 share a class
-        assert sigs[0] != sigs[2]
-        assert batch.signature_count(("R.x",)) == 2
 
 
 # ---------------------------------------------------------------------------
