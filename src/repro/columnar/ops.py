@@ -663,7 +663,7 @@ def apply_aggregate(
         try:
             obs.tick_comparisons(stop - start)
             for i in range(start, stop):
-                key = tuple(col[i] for col in key_cols)
+                key = tuple(join_key(col[i]) for col in key_cols)
                 slot = groups.get(key)
                 if slot is None:
                     slot = len(order)
@@ -683,9 +683,10 @@ def apply_aggregate(
         members.append([])
 
     out_attrs = tuple(group_by) + tuple(c.alias for c in node.calls)
+    # a group's output values are its first member's raw values
     columns: dict[str, list] = {
-        attr: [key[pos] for key in order]
-        for pos, attr in enumerate(group_by)
+        attr: [col[group[0]] for group in members]
+        for attr, col in zip(group_by, key_cols)
     }
     lineage = child.lineage
     for call in node.calls:

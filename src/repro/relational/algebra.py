@@ -460,10 +460,11 @@ class Aggregate(Query):
         ``tc.cond_alpha`` (Def. 2.12, second part).
         """
         _tick_comparisons(len(tuples))
+        # keyed like join values, so True and 1 form two groups
         groups: dict[tuple[Value, ...], list[Tuple]] = {}
         order: list[tuple[Value, ...]] = []
         for t in tuples:
-            key = tuple(t[a] for a in self.group_by)
+            key = tuple(join_key(t[a]) for a in self.group_by)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -476,7 +477,9 @@ class Aggregate(Query):
         out: list[Tuple] = []
         for key in order:
             group = groups[key]
-            values: dict[str, Value] = dict(zip(self.group_by, key))
+            values: dict[str, Value] = {
+                a: group[0][a] for a in self.group_by
+            }
             for call in self.calls:
                 values[call.alias] = call.compute(group)
             lineage: set[str] = set()

@@ -4,24 +4,29 @@ A killed batch should not restart from zero.  A :class:`BatchJournal`
 records every resolved :class:`~repro.robustness.outcomes.QuestionOutcome`
 as one JSON line with a SHA-256 checksum over the record's canonical
 JSON, so whatever survives a crash is a set of fully-completed
-questions.
+questions.  A service batch is one journal: the batch manifest is its
+first record and the batch result its last, as one-key objects
+(``{"manifest": ...}``, ``{"result": ...}``) that a torn or zeroed line
+can never parse as; :func:`read_result` parses the last line alone.
 
 Durability is paid once per batch, not once per question.  Each record
-is written and flushed to the kernel before :meth:`BatchJournal.record`
-returns, so a killed process (SIGKILL, OOM kill) loses none of them;
-:meth:`BatchJournal.close` makes them durable with one ``fsync``.  An
-OS crash or power cut before that fsync may lose unsynced records, or
-leave a torn tail; they are recomputed on resume, which is safe because
-NedExplain is deterministic -- a recomputed outcome equals the lost
-one.  On resume, ``NedExplain.explain_each(journal=...)`` replays
-the journalled outcomes verbatim and computes only the remainder; the
-merged result is identical to an uninterrupted run.
+is flushed to the kernel before it returns, so a killed process
+(SIGKILL, OOM kill) loses none of them; :meth:`BatchJournal.close`
+makes them durable with one ``fsync``, and :meth:`BatchJournal.finish`
+adds one ``fsync`` of the directory.  An OS crash before that may lose
+unsynced records, or leave a torn tail; they are recomputed on resume,
+which is safe because NedExplain is deterministic.  On resume,
+``NedExplain.explain_each(journal=...)`` replays the journalled
+outcomes verbatim and computes only the remainder; the merged result is
+identical to an uninterrupted run.
 
 Crash-safety rules on load:
 
 * a torn trailing line (the process died mid-``write``) is discarded;
 * replay stops at the *first* record that fails to parse or verify --
-  an append-only log is only trustworthy up to its first corruption;
+  an append-only log is only trustworthy up to its first corruption --
+  and the rest is cut off before anything is appended, so the records
+  a resume writes are read back by the next one;
 * a record whose question identity (text + digest) differs from the
   batch being resumed raises :class:`~repro.errors.JournalError`:
   that journal belongs to a different batch, and replaying it would
@@ -29,24 +34,23 @@ Crash-safety rules on load:
 
 Records are keyed by **question identity**: the submission index plus a
 stable SHA-256 digest of the question text.  A parallel batch journals
-outcomes in *completion* order, which is not index order, so resume
-must not assume a positional prefix -- any subset of indexes may be
-present after a crash, each replayed independently.  Appends are
-serialized under an internal lock (worker threads of a
-:class:`~repro.robustness.executor.ParallelExecutor` share one
-journal), and each record is flushed before the append returns.
+outcomes in *completion* order, so resume must not assume a positional
+prefix -- any subset of indexes may be present after a crash, each
+replayed independently.  Appends are serialized under an internal lock
+(worker threads of a :class:`~repro.robustness.executor.
+ParallelExecutor` share one journal).
 
 Two environment hooks drive the crash/drain test harnesses (inert
 unless explicitly set):
 
 * ``REPRO_JOURNAL_CRASH_AFTER`` -- SIGKILL this process immediately
-  after the N-th record is flushed: the deterministic "kill -9" of the
-  kill/resume differential (the ``chaos-resume`` and
+  after the N-th question record is flushed: the deterministic "kill
+  -9" of the kill/resume differential (the ``chaos-resume`` and
   ``chaos-parallel`` CI jobs);
 * ``REPRO_JOURNAL_SIGINT_AFTER`` -- send this process one SIGINT after
-  the N-th append: the deterministic trigger of the graceful-drain
-  test (the CLI finishes in-flight questions, journals them, and exits
-  with the documented drain code).
+  the N-th question record: the deterministic trigger of the
+  graceful-drain test (the CLI finishes in-flight questions, journals
+  them, and exits with the documented drain code).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError, JournalError, StorageError
 
-__all__ = ["BatchJournal", "question_digest"]
+__all__ = ["BatchJournal", "question_digest", "read_result"]
 
 #: Journal record format version.  Version 2 added the ``qdigest``
 #: question-identity field; version-1 records fail verification and are
@@ -107,6 +111,32 @@ def _checksum(record: Mapping[str, Any]) -> str:
     )
 
 
+def record_line(key: str, document: Mapping[str, Any]) -> str:
+    """The journal line of a manifest or result record."""
+    return _canonical({key: document}) + "\n"
+
+
+def _document(record: Any, key: str) -> dict | None:
+    """The document of a ``{key: {...}}`` record, else ``None``."""
+    if isinstance(record, dict) and len(record) == 1:
+        document = record.get(key)
+        return document if isinstance(document, dict) else None
+    return None
+
+
+def read_result(path: Path, io) -> dict | None:
+    """The result record of the journal at *path*; ``None`` when the
+    file is missing or its last line is not a whole result record (a
+    torn one means "not finished")."""
+    if not io.exists(path):
+        return None
+    last = io.read_text(path).rstrip("\n").rpartition("\n")[2]
+    try:
+        return _document(json.loads(last), "result")
+    except json.JSONDecodeError:
+        return None
+
+
 class BatchJournal:
     """Write-ahead log of per-question outcomes for one batch.
 
@@ -120,8 +150,7 @@ class BatchJournal:
     the disk-fault sites armed; a :class:`~repro.storage.backend.
     StorageBackend` passes its own shim so the journal shares the
     backend's fault plan -- and the crash-state harness passes a
-    recording simulator.  The on-disk format is unchanged: journals
-    written before the shim existed load and resume identically.
+    recording simulator.
     """
 
     def __init__(
@@ -143,6 +172,8 @@ class BatchJournal:
         self.resume = resume
         self._lock = threading.RLock()
         self._records: dict[int, dict] = {}
+        #: a service batch's manifest record, when loaded
+        self.manifest: dict | None = None
         self.discarded = 0  # torn/corrupt records dropped on load
         if resume and io.exists(self.path):
             self._load()
@@ -177,19 +208,33 @@ class BatchJournal:
             raise JournalError(
                 f"cannot read journal {self.path}: {exc}"
             ) from exc
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        intact = ""
+        for line in text.split("\n"):
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                self.discarded += 1
-                break  # torn write: nothing after it is trustworthy
-            if not self._verify(record):
-                self.discarded += 1
-                break
-            self._records[int(record["index"])] = record
+                record = None  # torn write
+            if _document(record, "manifest") is not None:
+                self.manifest = record["manifest"]
+            elif _document(record, "result") is None:
+                if not self._verify(record):
+                    self.discarded += 1
+                    break  # nothing after it is trustworthy
+                self._records[int(record["index"])] = record
+            intact += line + "\n"
+        if intact != text:
+            # cut the rest off first: appended after it, new records
+            # would be unreachable on the next load
+            from ..storage.backend import atomic_write_text
+
+            try:
+                atomic_write_text(self.path, intact, io=self._io)
+            except (OSError, StorageError) as exc:
+                raise JournalError(
+                    f"cannot cut the torn tail of {self.path}: {exc}"
+                ) from exc
 
     @staticmethod
     def _verify(record: Any) -> bool:
@@ -237,6 +282,38 @@ class BatchJournal:
             )
         return record["outcome"]
 
+    def _write_line(self, line: str) -> None:
+        """Write and flush one record line (the caller holds the lock)."""
+        if self._io.closed(self._file):
+            raise ConfigurationError(
+                f"journal {self.path} is closed; no further "
+                "records can be appended"
+            )
+        try:
+            self._io.write(self._file, line)
+            self._io.flush(self._file)
+        except (OSError, StorageError) as exc:
+            # a failed append (ENOSPC, EIO, short write) may leave
+            # torn bytes at the tail; they are exactly what the
+            # torn-tail discard drops on the next resume
+            raise JournalError(
+                f"journal append to {self.path} failed: {exc}"
+            ) from exc
+
+    def begin(self, manifest: Mapping[str, Any]) -> None:
+        """Append the batch manifest, the first record of a service
+        batch (write + flush, no fsync)."""
+        with self._lock:
+            self._write_line(record_line("manifest", manifest))
+
+    def finish(self, result: Mapping[str, Any]) -> None:
+        """Append the batch result, then make the file durable: one
+        ``fsync`` of the file and one of its directory."""
+        with self._lock:
+            self._write_line(record_line("result", result))
+            self.close()
+        self._io.fsync_dir(self.path.parent)
+
     def record(
         self, index: int, question: str, outcome: Mapping[str, Any]
     ) -> None:
@@ -261,21 +338,7 @@ class BatchJournal:
         # whole entry's canonical JSON from one encoding pass
         line = f'{{"checksum":"{entry["checksum"]}",{canonical[1:]}\n'
         with self._lock:
-            if self._io.closed(self._file):
-                raise ConfigurationError(
-                    f"journal {self.path} is closed; no further "
-                    "records can be appended"
-                )
-            try:
-                self._io.write(self._file, line)
-                self._io.flush(self._file)
-            except (OSError, StorageError) as exc:
-                # a failed append (ENOSPC, EIO, short write) may leave
-                # torn bytes at the tail; they are exactly what the
-                # torn-tail discard drops on the next resume
-                raise JournalError(
-                    f"journal append to {self.path} failed: {exc}"
-                ) from exc
+            self._write_line(line)
             self._records[index] = entry
             self._appended += 1
             crash = (
@@ -308,9 +371,9 @@ class BatchJournal:
     def close(self) -> None:
         """Make every record durable with one ``fsync``, then close.
 
-        The batch's only journal fsync: a service batch closes its
-        journal before it writes ``result.json``, and a drain or the
-        CLI's ``--journal`` ends through here too.  Idempotent.
+        The batch's only file fsync: a service batch ends through
+        :meth:`finish`, and a drain or the CLI's ``--journal`` through
+        here.  Idempotent.
         """
         with self._lock:
             if self._io.closed(self._file):

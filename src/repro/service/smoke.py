@@ -8,7 +8,9 @@ ephemeral port and walks the whole happy path plus the drain story:
 2. register the ``crime`` use-case database (with a warm query);
 3. run a journaled ``/v1/explain_batch`` over it (workers=2) and check
    every outcome came back ``full``;
-4. fetch the stored result back by id (idempotence);
+4. fetch the stored result back by id (idempotence), and check the
+   batch is one file, ``smoke-batch.journal.jsonl``, with no
+   ``*.request.json`` or ``*.result.json`` beside it;
 5. scrape ``/metrics`` (JSON and Prometheus text) and check the batch
    counters moved, and that every request travelled over one kept-alive
    connection;
@@ -104,6 +106,13 @@ def run_smoke(journal_dir: Path, timeout_s: float = 60.0) -> int:
         ):
             return _fail("result", repr(stored.body))
         print("smoke: stored result matches")
+        files = [
+            p.name for p in journal_dir.iterdir()
+            if not p.name.startswith("databases.")
+        ]
+        if files != ["smoke-batch.journal.jsonl"]:
+            return _fail("layout", f"not one file per batch: {files}")
+        print("smoke: the batch is one journal file")
 
         metrics = client.metrics()
         snapshot = metrics.body.get("metrics", {})

@@ -15,23 +15,24 @@ decision lives here so it can be unit-tested without a socket:
   token wired to SIGTERM, and the crash-safe request journal.
 
 **Crash-safe request journaling.**  Every ``/v1/explain_batch`` request
-is made durable *before* any work starts: a ``<id>.request.json``
-manifest (atomic write) plus a per-request
-:class:`~repro.robustness.journal.BatchJournal` that records each
-question outcome as it completes.  A completed batch gets an atomic
-``<id>.result.json``.  On startup, :meth:`ServiceState.recover` re-runs
-every manifest without a result, resuming its journal -- already
-completed questions replay verbatim, the rest are computed -- so a
-SIGKILLed server converges to the same outcomes an uninterrupted run
-would have produced (byte-identical under ``REPRO_MANUAL_CLOCK``).
-Database registrations are persisted the same way (atomic
-``databases.json``), so recovery does not depend on clients
-re-registering.
+is one append-only :class:`~repro.robustness.journal.BatchJournal`
+file, ``<id>.journal.jsonl``: the validated manifest is its first
+record, written before any work starts, the question outcomes follow,
+and the batch result is its last record.  Each record is flushed when
+written, so a SIGKILL loses none; the file and its directory are
+fsynced once each before the response is sent.  An OS crash before the
+response may lose the batch, and the client's retry with the same
+``request_id`` recomputes it.  On startup, :meth:`ServiceState.recover`
+converts a directory of the older three-file layout, then re-runs
+every journal whose last record is not a result, replaying the
+questions it holds -- so a SIGKILLed server converges to the outcomes
+an uninterrupted run would have produced (byte-identical under
+``REPRO_MANUAL_CLOCK``).  Database registrations are persisted as an
+atomic ``databases.json`` with snapshots.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import uuid
 import re
@@ -56,7 +57,8 @@ from ..relational.csv_io import load_database
 from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
 from ..robustness import Budget, CancellationToken
-from ..storage import StorageBackend, open_backend
+from ..robustness.journal import read_result, record_line
+from ..storage import StorageBackend, atomic_write_text, open_backend
 
 __all__ = [
     "AdmissionGate",
@@ -88,6 +90,12 @@ _BATCH_FIELDS: tuple[str, ...] = (
 )
 
 
+def _without_id(document: Mapping[str, Any]) -> dict:
+    """*document* as a journal record stores it: without the request
+    id, the journal's file name."""
+    return {k: v for k, v in document.items() if k != "request_id"}
+
+
 #: Storage backend selections understood by ``--storage``.
 STORAGE_KINDS: tuple[str, ...] = ("auto", "local", "memory", "none")
 
@@ -104,7 +112,7 @@ class ServiceConfig:
     #: admission limit: max concurrently admitted explain requests;
     #: arrivals past it are shed with 429 (``None`` = unlimited)
     shed_after: int | None = None
-    #: directory for request manifests + batch journals (``None``
+    #: directory for batch journals + registrations (``None``
     #: disables request journaling and crash recovery)
     journal_dir: Path | None = None
     #: storage backend kind (``auto`` picks ``local`` when
@@ -497,15 +505,10 @@ class ServiceState:
         # the request durable: a manifest on disk is re-run on restart
         self._batch_workers(manifest)
         self.engine_for(manifest["database"], manifest["sql"])
-        if self.backend is not None:
-            existing = self._stored_result(request_id)
-            if existing is not None:
-                return existing, False
-            self.backend.write_document(
-                self._manifest_name(request_id), manifest
-            )
-        document = self._run_batch(request_id, manifest)
-        return document, True
+        existing = self._stored_result(request_id)
+        if existing is not None:
+            return existing, False
+        return self._run_batch(request_id, manifest), True
 
     def _batch_workers(self, body: Any) -> int:
         """Validate a batch body; the worker count it runs with.
@@ -551,32 +554,18 @@ class ServiceState:
             )
         return min(workers, self.config.workers)
 
-    @staticmethod
-    def _manifest_name(request_id: str) -> str:
-        return f"{request_id}.request.json"
-
-    @staticmethod
-    def _result_name(request_id: str) -> str:
-        return f"{request_id}.result.json"
-
-    @staticmethod
-    def _journal_name(request_id: str) -> str:
-        return f"{request_id}.journal.jsonl"
+    def _journal_path(self, request_id: str) -> Path:
+        return self.backend.path_of(f"{request_id}.journal.jsonl")
 
     def _stored_result(self, request_id: str) -> dict | None:
+        """The finished result of *request_id*, else ``None``."""
         if self.backend is None:
             return None
-        try:
-            return self.backend.read_document(
-                self._result_name(request_id)
-            )
-        except StorageError:
-            # a torn/corrupt result is quarantined (evidence, never
-            # deleted); its manifest is still present, so recovery
-            # re-runs the batch and writes a fresh result
-            self.backend.quarantine(self._result_name(request_id))
-            self.metrics.counter("service.results.corrupt").inc()
+        path = self._journal_path(request_id)
+        result = read_result(path, self.backend.io)
+        if result is None:
             return None
+        return {"request_id": request_id, **result}
 
     def batch_result(self, request_id: str) -> dict:
         """The stored result of *request_id* (404 when unknown,
@@ -588,8 +577,8 @@ class ServiceState:
         stored = self._stored_result(request_id)
         if stored is not None:
             return stored
-        if self.backend is not None and self.backend.exists(
-            self._manifest_name(request_id)
+        if self.backend is not None and self.backend.io.exists(
+            self._journal_path(request_id)
         ):
             raise ServiceError(
                 f"batch {request_id} is journaled but not finished -- "
@@ -611,9 +600,10 @@ class ServiceState:
         )
         journal = None
         if self.backend is not None:
-            journal = self.backend.journal(
-                self._journal_name(request_id), resume=True
-            )
+            name = self._journal_path(request_id).name
+            journal = self.backend.journal(name, resume=True)
+            if journal.manifest is None:
+                journal.begin(_without_id(manifest))
         try:
             outcomes = engine.explain_each(
                 questions,
@@ -623,32 +613,30 @@ class ServiceState:
                 cancel=self.cancel,
             )
             replayed = journal.replayable_count if journal else 0
+            levels = [o.degradation_level for o in outcomes]
+            worst = max(
+                levels, key=lambda level: DEGRADATION_SEVERITY[level]
+            )
+            stats = engine.cache.stats
+            document = {
+                "request_id": request_id,
+                "questions": questions,
+                "workers": workers,
+                "degradation_level": worst,
+                "replayed": replayed,
+                "outcomes": [o.to_dict() for o in outcomes],
+                "batch": {
+                    "questions": len(questions),
+                    "evaluations": stats.evaluations,
+                    "hits": stats.hits,
+                    "misses": stats.misses,
+                },
+            }
+            if journal is not None:  # durable before the response
+                journal.finish(_without_id(document))
         finally:
             if journal is not None:
                 journal.close()
-        levels = [o.degradation_level for o in outcomes]
-        worst = max(
-            levels, key=lambda level: DEGRADATION_SEVERITY[level]
-        )
-        stats = engine.cache.stats
-        document = {
-            "request_id": request_id,
-            "questions": questions,
-            "workers": workers,
-            "degradation_level": worst,
-            "replayed": replayed,
-            "outcomes": [o.to_dict() for o in outcomes],
-            "batch": {
-                "questions": len(questions),
-                "evaluations": stats.evaluations,
-                "hits": stats.hits,
-                "misses": stats.misses,
-            },
-        }
-        if self.backend is not None:
-            self.backend.write_document(
-                self._result_name(request_id), document
-            )
         self.metrics.counter("service.batches").inc()
         self.metrics.counter("service.questions").inc(len(questions))
         return document
@@ -657,43 +645,83 @@ class ServiceState:
     # Crash recovery
     # ------------------------------------------------------------------
     def recover(self) -> list[str]:
-        """Re-run every journaled batch without a result; the ids.
+        """Re-run every journal whose last record is not a result; the
+        ids.
 
-        Runs before the service flips ready.  Each recovered batch
-        resumes its own :class:`BatchJournal` -- completed questions
-        replay verbatim, the remainder is computed -- so the stored
-        result converges to what an uninterrupted run would have
-        written.  A manifest that cannot be recovered (its database
+        Runs before the service flips ready.  Each unfinished batch
+        resumes from its manifest record -- completed questions replay
+        verbatim, the remainder is computed -- so its result converges
+        to what an uninterrupted run would have written.  A journal
+        without a manifest never started (no client was answered) and
+        is quarantined.  A batch that cannot be recovered (its database
         source vanished, say) is left in place and reported; it never
         blocks the server from starting.
         """
         if self.backend is None:
             return []
+        self._convert_legacy_batches()
         recovered: list[str] = []
-        for manifest_name in self.backend.list_documents(
-            ".request.json"
-        ):
-            request_id = manifest_name[: -len(".request.json")]
-            if self.backend.exists(
-                self._result_name(request_id)
-            ):
+        for name in self.backend.io.listdir(self.backend.root):
+            if not name.endswith(".journal.jsonl"):
                 continue
+            request_id = name[: -len(".journal.jsonl")]
             try:
-                manifest = self.backend.read_document(manifest_name)
-                if manifest is None:
-                    continue  # raced away between list and read
+                if self._stored_result(request_id) is not None:
+                    continue
+                journal = self.backend.journal(name, resume=True)
+                journal.close()
+                if journal.manifest is None:
+                    self.backend.quarantine(name)
+                    continue
+                manifest = {**journal.manifest, "request_id": request_id}
                 self._run_batch(request_id, manifest)
-            except (ReproError, OSError, json.JSONDecodeError) as exc:
-                self.metrics.counter(
-                    "service.recovery.failed"
-                ).inc()
-                self._recovery_errors.append(
-                    f"{request_id}: {type(exc).__name__}: {exc}"
-                )
+            except (ReproError, OSError) as exc:
+                self._recovery_failed(request_id, exc)
                 continue
             recovered.append(request_id)
             self.metrics.counter("service.recovery.batches").inc()
         return recovered
+
+    def _recovery_failed(self, request_id: str, exc: Exception) -> None:
+        self.metrics.counter("service.recovery.failed").inc()
+        self._recovery_errors.append(
+            f"{request_id}: {type(exc).__name__}: {exc}"
+        )
+
+    def _convert_legacy_batches(self) -> None:
+        """Fold each ``<id>.request.json`` / ``.journal.jsonl`` /
+        ``.result.json`` batch of the older layout into one journal,
+        rewritten atomically before the old documents are removed (a
+        crash in between leaves documents the next start only removes).
+        A torn old result means "not finished"; an old batch that
+        cannot be converted (its manifest does not parse, say) has its
+        manifest quarantined and is reported."""
+        backend = self.backend
+        for name in backend.io.listdir(backend.root):
+            if not name.endswith(".request.json"):
+                continue
+            request_id = name[: -len(".request.json")]
+            result_name = f"{request_id}.result.json"
+            try:
+                manifest = backend.read_document(name)
+                try:
+                    result = backend.read_document(result_name)
+                except StorageError:
+                    result = None
+                path = self._journal_path(request_id)
+                journal = backend.journal(path.name, resume=True)
+                journal.close()
+                if journal.manifest is None:
+                    text = record_line("manifest", _without_id(manifest))
+                    text += backend.io.read_text(path)
+                    if result is not None:
+                        text += record_line("result", _without_id(result))
+                    atomic_write_text(path, text, io=backend.io)
+                backend.io.unlink(backend.path_of(result_name))
+                backend.io.unlink(backend.path_of(name))
+            except (ReproError, OSError) as exc:
+                self._recovery_failed(request_id, exc)
+                backend.quarantine(name)
 
     # ------------------------------------------------------------------
     # Drain

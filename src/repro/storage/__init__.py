@@ -12,12 +12,11 @@ Three layers, bottom up:
 
 * :mod:`~repro.storage.backend` -- :class:`StorageBackend`: documents
   (atomic durable JSON writes, including the parent-directory fsync),
-  journals (the established fsynced WAL), checksummed
+  journals (the WAL; one file per service batch), checksummed
   generation-numbered snapshots, and a pre-ready recovery scan that
   quarantines or repairs corrupt artifacts under ``storage.*``
-  metrics.  :class:`LocalDirBackend` keeps the pre-existing
-  ``--journal-dir`` layout byte-compatible; :class:`MemoryBackend`
-  runs the same logic without a disk;
+  metrics.  :class:`LocalDirBackend` is a real directory;
+  :class:`MemoryBackend` runs the same logic without a disk;
 
 * :mod:`~repro.storage.crashsim` -- the ALICE/CrashMonkey-style
   crash-state enumeration harness: :class:`SimIO` records an operation

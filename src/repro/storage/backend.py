@@ -1,19 +1,20 @@
 """Pluggable storage backends: one durability story for everything.
 
-Before this subsystem the repository had three ad-hoc persistence
-paths -- the fsynced :class:`~repro.robustness.journal.BatchJournal`
-WAL, the ``databases.json`` registration file, and the per-batch
-manifest/result documents -- each with its own atomicity story.  A
-:class:`StorageBackend` unifies them behind four primitives:
+A :class:`StorageBackend` holds the service's two kinds of durable
+state -- one :class:`~repro.robustness.journal.BatchJournal` file per
+batch and the ``databases.json`` registration table -- behind four
+primitives:
 
 * **documents** -- whole JSON files written atomically (temp file +
   fsync + rename + *parent-directory fsync*: a rename is not durable
   until the directory entry is on disk, the bug every hand-rolled
-  helper has);
-* **journals** -- append-only fsynced WALs
+  helper has); only the registrations use them;
+* **journals** -- append-only WALs
   (:class:`~repro.robustness.journal.BatchJournal` routed through the
   backend's I/O shim), keeping the established torn-tail-discard /
-  stop-at-first-corruption semantics;
+  stop-at-first-corruption semantics; a batch's manifest, question
+  records and result are one journal, made durable by one file fsync
+  and one directory fsync;
 * **snapshots** -- checksummed, generation-numbered copies of a
   document family (``databases.gen-3.snap.json``); a corrupt primary
   document is *repaired* from the newest valid generation instead of
@@ -25,14 +26,17 @@ manifest/result documents -- each with its own atomicity story.  A
   in a ``storage.recover`` span.
 
 Two implementations ship: :class:`LocalDirBackend` (a directory on the
-real filesystem, laid out exactly like the pre-storage-subsystem
-``--journal-dir`` so existing journal directories keep resuming) and
-:class:`MemoryBackend` (the same logic over :class:`~repro.storage.
-io.MemoryIO` -- no durability, same code path, instant tests).  The
-layout compatibility is not an accident: ``databases.json``,
-``<id>.request.json``, ``<id>.result.json`` and ``<id>.journal.jsonl``
-keep their names, so a directory written before this subsystem existed
-recovers byte-identically.
+real filesystem) and :class:`MemoryBackend` (the same logic over
+:class:`~repro.storage.io.MemoryIO` -- no durability, same code path,
+instant tests).
+
+Layout compatibility: a directory holds ``databases.json``, its
+``databases.gen-N.snap.json`` snapshots and one ``<id>.journal.jsonl``
+per batch.  Directories of the older layout, where a batch also had an
+atomic ``<id>.request.json`` manifest and ``<id>.result.json`` result,
+are converted once by the service's recovery
+(:meth:`~repro.service.state.ServiceState.recover`); nothing else
+reads those names.
 """
 
 from __future__ import annotations
@@ -136,14 +140,12 @@ class RecoveryReport:
         self.scanned = 0
         self.quarantined: list[str] = []
         self.repaired: list[str] = []
-        self.torn_discarded: list[str] = []
 
     def to_dict(self) -> dict:
         return {
             "scanned": self.scanned,
             "quarantined": list(self.quarantined),
             "repaired": list(self.repaired),
-            "torn_discarded": list(self.torn_discarded),
         }
 
     def __repr__(self) -> str:
@@ -161,7 +163,7 @@ class StorageBackend:
     StorageIO`), which is what makes every backend -- local, in-memory,
     simulated -- fault-injectable and crash-enumerable with the same
     code.  Names are plain relative filenames (``databases.json``,
-    ``abc123.result.json``); nesting is deliberately unsupported.
+    ``abc123.journal.jsonl``); nesting is deliberately unsupported.
     """
 
     #: short backend kind, reported by ``describe()`` / ``/readyz``
@@ -245,22 +247,6 @@ class StorageBackend:
         )
         self._count("storage.documents.written")
 
-    def delete_document(self, name: str) -> None:
-        self.io.unlink(self.path_of(name))
-
-    def exists(self, name: str) -> bool:
-        """Whether the named artifact is present in this backend."""
-        return self.io.exists(self.path_of(name))
-
-    def list_documents(self, suffix: str = ".json") -> list[str]:
-        return sorted(
-            name
-            for name in self.io.listdir(self.root)
-            if name.endswith(suffix)
-            and not name.endswith(TMP_SUFFIX)
-            and _SNAPSHOT_RE.match(name) is None
-        )
-
     # -- journals ------------------------------------------------------
     def journal(self, name: str, resume: bool = False):
         """A :class:`~repro.robustness.journal.BatchJournal` at *name*,
@@ -313,9 +299,7 @@ class StorageBackend:
             self._count("storage.snapshots.pruned")
         return generation
 
-    def read_snapshot(
-        self, family: str, quarantine_corrupt: bool = True
-    ) -> tuple[dict, int] | None:
+    def read_snapshot(self, family: str) -> tuple[dict, int] | None:
         """The newest *valid* generation of *family* as
         ``(document, generation)``; ``None`` when no generation
         verifies.  Corrupt generations are quarantined (evidence, not
@@ -341,8 +325,7 @@ class StorageBackend:
                 self._count("storage.snapshots.read")
                 return dict(payload["document"]), generation
             self._count("storage.snapshots.corrupt")
-            if quarantine_corrupt:
-                self.quarantine(name)
+            self.quarantine(name)
         return None
 
     # -- quarantine + recovery -----------------------------------------
@@ -476,13 +459,7 @@ class StorageBackend:
 
 
 class LocalDirBackend(StorageBackend):
-    """A directory on the real filesystem (the durable backend).
-
-    The layout is byte-compatible with the pre-storage ``--journal-dir``
-    contents; opening an old directory and recovering it produces the
-    same results the old code produced, plus snapshot/quarantine
-    hygiene the old code lacked.
-    """
+    """A directory on the real filesystem (the durable backend)."""
 
     kind = "local"
 

@@ -1,7 +1,7 @@
 """The fault-injectable I/O shim under every storage backend.
 
-Every byte the storage subsystem persists -- journal records, request
-manifests, result documents, registration snapshots -- flows through a
+Every byte the storage subsystem persists -- batch journals, the
+registration document and its snapshots -- flows through a
 :class:`StorageIO`, never through bare ``open``/``os.replace``.  That
 single chokepoint buys two things:
 

@@ -389,6 +389,42 @@ class TestValueDomains:
         # NULL by D's NULL
         assert _engines(root, db) == {"A:0", "A:4"}
 
+    @staticmethod
+    def _grouped(engine, values):
+        db = Database("groups")
+        db.create_table("A", ["id", "g"], key="id")
+        for i, g in enumerate(values):
+            db.insert("A", id=i, g=g)
+        root = Aggregate(
+            RelationLeaf(db.table("A").schema),
+            ["A.g"],
+            [AggregateCall("count", "A.id", "n")],
+        )
+        instance = db.instance()
+        if engine == "row":
+            out = evaluate(root, instance).output(root)
+        else:
+            out = evaluate_columnar(root, instance).row_view().output(root)
+        return sorted(
+            ((type(t["A.g"]).__name__, t["A.g"], t["n"]) for t in out),
+            key=repr,
+        )
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_aggregation_keeps_booleans_apart_from_numbers(self, engine):
+        # compare_values(True, "=", 1) is false, so two groups
+        assert self._grouped(engine, [True, 1]) == [
+            ("bool", True, 1), ("int", 1, 1),
+        ]
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_aggregation_groups_keep_raw_values_and_nulls(self, engine):
+        # 1 and 1.0 compare equal and share a group that reports its
+        # first member's value; NULLs group together
+        assert self._grouped(engine, [1, 1.0, None, None]) == [
+            ("NoneType", None, 2), ("int", 1, 2),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Tree utilities

@@ -19,6 +19,10 @@ Engine-level resume differentials are deduplicated by the set of
 records each crash state recovers -- two states that recover the same
 records resume identically -- which keeps the harness exhaustive over
 states while bounding engine executions.
+
+``TestServiceBatchCrashStates`` enumerates one whole
+``ServiceState.explain_batch`` the same way: its one journal file from
+the manifest record to the result record and the two syncs.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import NedExplain, canonicalize
+from repro.errors import ServiceError
 from repro.obs.clock import ManualClock, use_clock
 from repro.relational import EvaluationCache
 from repro.robustness import (
@@ -38,6 +43,7 @@ from repro.robustness import (
     inject,
 )
 from repro.robustness.faults import FAULT_SITES
+from repro.service import ServiceConfig, ServiceState
 from repro.storage import (
     CrashSim,
     Op,
@@ -426,3 +432,106 @@ class TestCrashRecoveryHarness:
         sim, _ = _run_recorded_batch(seed, _lying_close_plan)
         assert "fsync" not in [op.kind for op in sim.log]
         _crash_harness(seed, _lying_close_plan)
+
+
+# ---------------------------------------------------------------------------
+# The whole service batch: manifest, question records, result, two syncs
+# ---------------------------------------------------------------------------
+SERVICE_BATCH = {
+    "request_id": "crash-batch",
+    "database": "crime",
+    "sql": "SELECT Person.name FROM Person WHERE Person.hair = 'brown'",
+    "why_not": [
+        "(Person.name: Roger)",
+        "(Person.name: Hannah)",
+        "(Person.name: nobody)",
+    ],
+    "workers": 2,
+}
+
+
+def _json(document):
+    return json.loads(json.dumps(document, sort_keys=True, default=str))
+
+
+def _service_state(io):
+    """A memory-storage service whose backend runs on *io*, started
+    the way ``serve`` starts one up to batch recovery: storage
+    recovery, then the persisted registrations."""
+    state = ServiceState(ServiceConfig(storage="memory"))
+    state.backend.io = io
+    state.storage_recovery = state.backend.recover()
+    state._load_registrations()
+    return state
+
+
+def _record_service_batch():
+    """One ``ServiceState.explain_batch`` on the simulator.
+
+    Returns ``(sim, start, synced, clean)``: the op log, the index of
+    the batch's first op, the prefix at which the response is sent
+    (after both syncs), and the batch's response document."""
+    sim = SimIO()
+    sim.mkdir(Path("/memory"))
+    with use_clock(ManualClock()):
+        state = _service_state(sim)
+        state.register_database({"name": "crime", "use_case_db": "crime"})
+        start = len(sim.log)
+        clean, fresh = state.explain_batch(dict(SERVICE_BATCH))
+    assert fresh
+    return sim, start, len(sim.log), _json(clean)
+
+
+class TestServiceBatchCrashStates:
+    def test_every_crash_state_recovers_or_converges(self):
+        """For every crash prefix of a service batch and every legal
+        state: recovery plus GET serves the clean result, or re-runs
+        the batch to it, or the batch was never acknowledged and a
+        retry converges to it; a 200 never carries a partial document;
+        a batch whose two syncs completed is never lost."""
+        sim, start, synced, clean = _record_service_batch()
+        csim = CrashSim(sim.log)
+        request_id = SERVICE_BATCH["request_id"]
+        seen: set[tuple] = set()
+        paths = {"served": 0, "recovered": 0, "retried": 0}
+        for prefix in range(start, len(sim.log) + 1):
+            for files in csim.states_at(prefix):
+                key = (prefix >= synced, tuple(sorted(files.items())))
+                if key in seen:
+                    continue
+                seen.add(key)
+                with use_clock(ManualClock()):
+                    state = _service_state(
+                        materialize(files, Path("/memory"))
+                    )
+                    recovered = state.recover()
+                    try:
+                        document = state.batch_result(request_id)
+                        path = "recovered" if recovered else "served"
+                    except ServiceError as exc:
+                        # only an unacknowledged batch may be lost
+                        assert exc.status == 404, exc
+                        assert prefix < synced, (prefix, files)
+                        document, fresh = state.explain_batch(
+                            dict(SERVICE_BATCH)
+                        )
+                        assert fresh
+                        path = "retried"
+                paths[path] += 1
+                document = _json(document)
+                # a 200 carries the whole document
+                assert set(document) == set(clean)
+                assert len(document["outcomes"]) == len(
+                    SERVICE_BATCH["why_not"]
+                )
+                if path == "served" or prefix >= synced:
+                    # the stored result, byte-identical
+                    assert path == "served" and document == clean
+                    continue
+                # a re-run converges to the clean outcomes
+                assert _scrub_spent(document["outcomes"]) == _scrub_spent(
+                    clean["outcomes"]
+                )
+                for field in ("questions", "request_id", "workers"):
+                    assert document[field] == clean[field]
+        assert all(paths.values()), paths

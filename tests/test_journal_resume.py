@@ -116,6 +116,47 @@ class TestBatchJournal:
         assert resumed.completed(0, "(q: 1)") is not None
         resumed.close()
 
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            '{"v": 2, "index": 1, "quest',  # a torn record
+            "\x00" * 16,  # lost data blocks under a persisted size
+        ],
+        ids=["torn", "zeroed"],
+    )
+    def test_records_after_a_torn_tail_are_read_back(self, tmp_path, tail):
+        """A resume cuts the discarded tail off before appending, so
+        the next record starts on a line of its own and the next
+        resume loads it."""
+        path = tmp_path / "batch.jsonl"
+        with BatchJournal(path) as journal:
+            journal.record(0, "(q: 1)", _outcome_dict())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(tail)
+        with BatchJournal(path, resume=True) as resumed:
+            assert resumed.discarded == 1
+            resumed.record(1, "(q: 2)", _outcome_dict("(q: 2)"))
+        again = BatchJournal(path, resume=True)
+        assert again.discarded == 0
+        assert again.completed(0, "(q: 1)") == _outcome_dict()
+        assert again.completed(1, "(q: 2)") == _outcome_dict("(q: 2)")
+        again.close()
+        assert not (tmp_path / "batch.jsonl.tmp").exists()
+
+    def test_unterminated_last_record_is_kept_and_terminated(
+        self, tmp_path
+    ):
+        path = tmp_path / "batch.jsonl"
+        with BatchJournal(path) as journal:
+            journal.record(0, "(q: 1)", _outcome_dict())
+        path.write_text(path.read_text().rstrip("\n"))
+        with BatchJournal(path, resume=True) as resumed:
+            assert resumed.discarded == 0
+            resumed.record(1, "(q: 2)", _outcome_dict("(q: 2)"))
+        again = BatchJournal(path, resume=True)
+        assert len(again) == 2
+        again.close()
+
     def test_replay_stops_at_first_corrupt_record(self, tmp_path):
         """Records after a checksum failure are not trusted, even if
         they verify individually -- append-only logs are only

@@ -23,6 +23,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -205,9 +206,19 @@ class TestServiceState:
         assert fresh
         assert document["degradation_level"] == "full"
         journal_dir = state.config.journal_dir
-        assert (journal_dir / "b1.request.json").exists()
-        assert (journal_dir / "b1.journal.jsonl").exists()
-        assert (journal_dir / "b1.result.json").exists()
+        # one file per batch: manifest first, result last
+        assert [p.name for p in journal_dir.glob("b1.*")] == [
+            "b1.journal.jsonl"
+        ]
+        lines = [
+            json.loads(line)
+            for line in (journal_dir / "b1.journal.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        assert list(lines[0]) == ["manifest"]
+        assert list(lines[-1]) == ["result"]
+        assert len(lines) == 2 + len(body["why_not"])
         again, fresh = state.explain_batch(body)
         assert not fresh  # served from the stored result, no re-run
         assert again["outcomes"] == document["outcomes"]
@@ -216,8 +227,9 @@ class TestServiceState:
         ]
 
     def test_journaled_batch_pays_for_durability_once(self):
-        """An 8-question batch: one journal fsync (at close), and the
-        manifest and result each a file fsync plus a directory fsync."""
+        """An 8-question batch creates one file and makes it durable
+        with one file fsync and one directory fsync, after its result
+        record is written."""
         from repro.storage import SimIO
 
         state = self._state(storage="memory")
@@ -233,24 +245,18 @@ class TestServiceState:
         assert fresh and document["degradation_level"] == "full"
         ops = sim.log[start:]
         journal = str(state.backend.path_of("durable.journal.jsonl"))
-        appends = [
-            op for op in ops if op.path == journal and op.kind == "append"
-        ]
-        assert len(appends) == len(questions)
-        journal_fsyncs = [
-            index
-            for index, op in enumerate(ops)
-            if op.path == journal and op.kind == "fsync"
-        ]
-        assert len(journal_fsyncs) == 1
-        # the journal is durable before the result is written
-        result = str(state.backend.path_of("durable.result.json.tmp"))
-        first_result_op = next(
-            index for index, op in enumerate(ops) if op.path == result
-        )
-        assert journal_fsyncs[0] < first_result_op
-        syncs = [op.kind for op in ops if op.kind in ("fsync", "fsync_dir")]
-        assert len(syncs) <= 5, syncs
+        root = str(state.backend.root)
+        # one file created: every file operation is on the journal
+        assert {op.path for op in ops} == {journal, root}
+        appends = [op.data for op in ops if op.kind == "append"]
+        assert len(appends) == len(questions) + 2
+        assert list(json.loads(appends[0])) == ["manifest"]
+        assert list(json.loads(appends[-1])) == ["result"]
+        # the result record follows the last question record, and
+        # both syncs follow the result record
+        assert [op.kind for op in ops][-2:] == ["fsync", "fsync_dir"]
+        assert [op.kind for op in ops].count("fsync") == 1
+        assert [op.kind for op in ops].count("fsync_dir") == 1
 
     def test_batch_result_distinguishes_unknown_from_in_flight(
         self, tmp_path
@@ -259,9 +265,9 @@ class TestServiceState:
         with pytest.raises(ServiceError) as excinfo:
             state.batch_result("nope")
         assert excinfo.value.status == 404
-        # a manifest without a result means in flight / crashed: 409
-        (state.config.journal_dir / "hang.request.json").write_text(
-            "{}"
+        # a journal without a result means in flight / crashed: 409
+        (state.config.journal_dir / "hang.journal.jsonl").write_text(
+            json.dumps({"manifest": _batch_body()}) + "\n"
         )
         with pytest.raises(ServiceError) as excinfo:
             state.batch_result("hang")
@@ -270,11 +276,10 @@ class TestServiceState:
     def test_recover_reruns_unfinished_manifests(self, tmp_path):
         state = self._state(tmp_path)
         state.register_database(REGISTER)
-        manifest = _batch_body(request_id="crashed")
-        manifest_path = (
-            state.config.journal_dir / "crashed.request.json"
+        journal_path = state.config.journal_dir / "crashed.journal.jsonl"
+        journal_path.write_text(
+            json.dumps({"manifest": _batch_body()}) + "\n"
         )
-        manifest_path.write_text(json.dumps(manifest))
 
         # a fresh state (the restarted process) sees the registration
         # (persisted databases.json) and finishes the batch
@@ -776,15 +781,18 @@ class TestServiceKillResume:
         with pytest.raises(OSError):
             server.client.explain_batch(body)
         assert server.kill_wait() == -signal.SIGKILL
-        # the flushed prefix survived: manifest + exactly 2 records
-        assert (killed_dir / "kill-batch.request.json").exists()
+        # the flushed prefix survived: manifest + exactly 2 records,
+        # and no result record
         journal_lines = (
             (killed_dir / "kill-batch.journal.jsonl")
             .read_text()
             .splitlines()
         )
-        assert len(journal_lines) == 2
-        assert not (killed_dir / "kill-batch.result.json").exists()
+        assert len(journal_lines) == 3
+        assert list(json.loads(journal_lines[0])) == ["manifest"]
+        assert all(
+            "index" in json.loads(line) for line in journal_lines[1:]
+        )
 
         # 3. restart on the same journal dir: recovery resumes the
         #    journal (replaying the durable records) before ready
@@ -885,11 +893,12 @@ class TestStorageKinds:
         document, fresh = state.explain_batch(body)
         assert fresh
         again, fresh = state.explain_batch(body)
-        assert not fresh  # idempotency via the in-memory result doc
+        assert not fresh  # idempotency via the stored result record
         assert again["outcomes"] == document["outcomes"]
-        names = state.backend.list_documents()
-        assert "m1.request.json" in names
-        assert "m1.result.json" in names
+        names = state.backend.io.listdir(state.backend.root)
+        assert [n for n in names if n.startswith("m1.")] == [
+            "m1.journal.jsonl"
+        ]
 
     def test_memory_storage_over_http(self):
         with _live_server(storage="memory") as (httpd, client):
@@ -918,6 +927,92 @@ class TestStorageKinds:
             "junk.json.tmp"
         ]
         assert (journal_dir / "quarantine" / "junk.json.tmp").exists()
+
+
+LEGACY_DIR = Path(__file__).parent / "fixtures" / "three_file_journal"
+
+
+class TestLegacyJournalDirectory:
+    """A journal directory of the older three-file layout recovers.
+
+    ``tests/fixtures/three_file_journal`` was written by the service
+    of that layout, under a manual clock: ``databases.json`` with its
+    snapshot, a finished batch (``finished.request.json``,
+    ``.journal.jsonl``, ``.result.json``) and an unfinished one
+    (``unfinished.request.json`` and a journal of 2 of its 4 question
+    records, left by ``REPRO_JOURNAL_CRASH_AFTER=2``).  Both ran with
+    ``workers: 1``.
+    """
+
+    def _restart(self, journal_dir):
+        with use_clock(ManualClock()):
+            state = ServiceState(ServiceConfig(journal_dir=journal_dir))
+            recovered = state.recover()
+        state.ready.set()
+        return state, recovered
+
+    def test_converted_once_finished_served_unfinished_converges(
+        self, tmp_path
+    ):
+        journal_dir = tmp_path / "journal"
+        shutil.copytree(LEGACY_DIR, journal_dir)
+        legacy_result = json.loads(
+            (LEGACY_DIR / "finished.result.json").read_text()
+        )
+        manifests = {
+            request_id: json.loads(
+                (LEGACY_DIR / f"{request_id}.request.json").read_text()
+            )
+            for request_id in ("finished", "unfinished")
+        }
+        state, recovered = self._restart(journal_dir)
+        assert recovered == ["unfinished"]
+        assert state.ready_document()[1].get("recovery_errors") is None
+        # one file per batch, and no file of the old layout is left
+        names = sorted(p.name for p in journal_dir.iterdir())
+        assert [n for n in names if not n.startswith("databases.")] == [
+            "finished.journal.jsonl",
+            "unfinished.journal.jsonl",
+        ]
+        # the finished batch is served unchanged
+        assert state.batch_result("finished") == legacy_result
+        again, fresh = state.explain_batch(manifests["finished"])
+        assert not fresh and again == legacy_result
+        # the unfinished one resumed from its two records and converged
+        # to what an uninterrupted run of its manifest answers
+        resumed = state.batch_result("unfinished")
+        assert resumed["replayed"] == 2
+        with use_clock(ManualClock()):
+            clean_state = ServiceState(ServiceConfig(storage="memory"))
+            clean_state.register_database(REGISTER)
+            clean, _ = clean_state.explain_batch(manifests["unfinished"])
+        assert json.dumps(resumed["outcomes"], sort_keys=True) == (
+            json.dumps(clean["outcomes"], sort_keys=True)
+        )
+        # a second start finds nothing to convert or re-run
+        restarted, recovered = self._restart(journal_dir)
+        assert recovered == []
+        assert restarted.batch_result("unfinished") == resumed
+        assert restarted.batch_result("finished") == legacy_result
+
+    def test_old_documents_beside_a_converted_journal_are_removed(
+        self, tmp_path
+    ):
+        """A crash after the journal's rename, before the old documents
+        are unlinked: the next start only removes them."""
+        journal_dir = tmp_path / "journal"
+        shutil.copytree(LEGACY_DIR, journal_dir)
+        self._restart(journal_dir)
+        converted = (journal_dir / "finished.journal.jsonl").read_text()
+        for name in ("finished.request.json", "finished.result.json"):
+            shutil.copy(LEGACY_DIR / name, journal_dir / name)
+        state, recovered = self._restart(journal_dir)
+        assert recovered == []
+        assert (journal_dir / "finished.journal.jsonl").read_text() == (
+            converted
+        )
+        assert not list(journal_dir.glob("*.request.json"))
+        assert not list(journal_dir.glob("*.result.json"))
 
 
 # ---------------------------------------------------------------------------

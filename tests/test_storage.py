@@ -146,9 +146,6 @@ class TestDocuments:
         backend.write_document("doc.json", {"k": "v"})
         assert backend.read_document("doc.json") == {"k": "v"}
         assert backend.read_document("missing.json") is None
-        assert backend.list_documents() == ["doc.json"]
-        backend.delete_document("doc.json")
-        assert backend.read_document("doc.json") is None
 
     def test_corrupt_document_raises(self, backend):
         backend.io.write_text(backend.path_of("bad.json"), "{not json")
@@ -160,11 +157,6 @@ class TestDocuments:
             backend.path_of("../escape.json")
         with pytest.raises(StorageError):
             backend.path_of(".hidden.json")
-
-    def test_snapshots_are_excluded_from_listing(self, backend):
-        backend.write_document("databases.json", {"a": {}})
-        backend.write_snapshot("databases", {"a": {}})
-        assert backend.list_documents() == ["databases.json"]
 
 
 class TestSnapshots:
@@ -243,13 +235,13 @@ class TestRecovery:
     def test_corrupt_manifests_are_left_for_service_recovery(
         self, backend
     ):
-        # the service layer owns manifest semantics: storage recovery
-        # must leave even a corrupt one in place and visible
+        # the service layer owns batch journal semantics: storage
+        # recovery must leave even a corrupt one in place and visible
         backend.io.write_text(
-            backend.path_of("bad.request.json"), "{not json"
+            backend.path_of("bad.journal.jsonl"), "{not json"
         )
         backend.recover()
-        assert backend.io.exists(backend.path_of("bad.request.json"))
+        assert backend.io.exists(backend.path_of("bad.journal.jsonl"))
 
     def test_recovery_is_idempotent(self, backend):
         backend.write_document("databases.json", {"db": {}})
@@ -303,13 +295,6 @@ class TestQuarantineCap:
         backend.quarantine("newer.json.tmp")
         kept = sorted(backend.io.listdir(qdir))
         assert kept == ["fresh.json.tmp", "newer.json.tmp"]
-
-
-class TestExists:
-    def test_exists_by_logical_name(self, backend):
-        backend.write_document("doc.json", {"k": 1})
-        assert backend.exists("doc.json")
-        assert not backend.exists("missing.json")
 
 
 class TestOpenBackend:
