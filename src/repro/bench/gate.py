@@ -8,11 +8,13 @@ when one of them regressed.  This module is that gate:
 * ``check`` re-measures the benchmark suites (warmups + median-of-k,
   MAD noise bands) and compares against the committed baselines in
   ``benchmarks/baselines/``.  Wall-clock comparisons are noise-aware
-  (relative tolerance, MAD band, host-speed calibration); the
-  deterministic counters (``budget.rows``, ``budget.comparisons``,
-  cache hits/misses, traversal steps) are compared **exactly**, so an
-  algorithmic regression is caught even when CI wall-clock is too noisy
-  to trust.  Exit codes: 0 clean, 1 regression, 2 torn/stale baseline
+  (relative tolerance, MAD band, host-speed calibration), and a
+  benchmark that exceeds its allowance is re-measured before the
+  regression is reported.  The deterministic counters
+  (``budget.rows``, ``budget.comparisons``, cache hits/misses,
+  traversal steps) are compared **exactly**, so an algorithmic
+  regression is caught even when CI wall-clock is too noisy to trust.
+  Exit codes: 0 clean, 1 regression, 2 torn/stale baseline
   or usage error.  Every completed check appends one entry to
   ``BENCH_trajectory.json`` -- the perf trajectory over PRs.
 * ``update`` re-measures and rewrites the baselines (the honest way to
@@ -57,6 +59,11 @@ TRAJECTORY_FORMAT_VERSION = 1
 #: Scale factor the gate benchmarks run at (small: the gate must be
 #: cheap enough to run on every PR).
 GATE_SCALE = 1
+
+#: Fresh rounds (host calibration, then the benchmark) a wall-clock
+#: regression must survive before ``check`` reports it: a host stall
+#: trips one measurement, a real slowdown trips every round.
+CONFIRM_ROUNDS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +676,46 @@ def _measure_specs(
     return measured
 
 
+def _confirm_regression(
+    spec: BenchmarkSpec,
+    entry: BaselineEntry,
+    flagged: CheckResult,
+    baseline_calibration_ms: float,
+    thresholds: Thresholds,
+    repeats: int,
+    warmup: int,
+) -> CheckResult:
+    """Re-measure a wall-clock regression before reporting it.
+
+    Each of :data:`CONFIRM_ROUNDS` rounds re-calibrates the host, then
+    re-measures *spec* against its committed baseline.  The first
+    round that is not a wall-clock regression is the verdict; a
+    regression every round also shows is reported.  Tolerances are
+    unchanged, and counters are exact in every round.
+    """
+    result = flagged
+    for round_ in range(1, CONFIRM_ROUNDS + 1):
+        ratio = calibrate() / baseline_calibration_ms
+        measurement = measure(
+            spec.factory, name=spec.name, repeats=repeats, warmup=warmup
+        )
+        result = compare_measurement(
+            spec.suite, entry, measurement, ratio, thresholds
+        )
+        if result.status != "regression-time":
+            return replace(
+                result,
+                detail=f"re-measurement {round_} cleared a first-run "
+                f"excess of {flagged.delta_ms:.3f} ms (allowed "
+                f"{flagged.allowed_delta_ms:.3f} ms)",
+            )
+    return replace(
+        result,
+        detail=f"{result.detail}; persisted over {CONFIRM_ROUNDS} "
+        "re-measurements",
+    )
+
+
 def run_check(
     suites: Sequence[str] | None = None,
     benchmarks: Sequence[str] | None = None,
@@ -682,6 +729,8 @@ def run_check(
 ) -> GateReport:
     """Measure, compare against committed baselines, append trajectory.
 
+    A wall-clock regression is reported only if it persists through
+    :data:`CONFIRM_ROUNDS` re-measurements (:func:`_confirm_regression`).
     Never raises for gate-domain failures: configuration problems
     (torn/stale baselines, bad filters, corrupt trajectory) come back
     as an ``error`` report (exit code 2), regressions as ``regression``
@@ -715,7 +764,7 @@ def run_check(
     for suite, measurements in measured.items():
         baseline = suite_baselines[suite]
         ratio = calibration / baseline.calibration_ms
-        for measurement in measurements:
+        for spec, measurement in zip(selected[suite], measurements):
             entry = baseline.entries.get(measurement.name)
             if entry is None:
                 report.results.append(
@@ -734,11 +783,15 @@ def run_check(
                     )
                 )
                 continue
-            report.results.append(
-                compare_measurement(
-                    suite, entry, measurement, ratio, thresholds
-                )
+            result = compare_measurement(
+                suite, entry, measurement, ratio, thresholds
             )
+            if result.status == "regression-time":
+                result = _confirm_regression(
+                    spec, entry, result, baseline.calibration_ms,
+                    thresholds, repeats, warmup,
+                )
+            report.results.append(result)
 
     if any(r.failed for r in report.results):
         report.status = "regression"

@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--repairs",
         action="store_true",
-        help="suggest (and verify) selection relaxations",
+        help="suggest (and verify) selection relaxations (single "
+        "question only; refused on the batch path)",
     )
     explain.add_argument(
         "--show-result",
@@ -390,15 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory for crash-safe request journaling; batches "
         "interrupted by a crash are re-run on restart",
-    )
-    serve.add_argument(
-        "--storage",
-        choices=("auto", "local", "memory", "none"),
-        default="auto",
-        help="storage backend: auto (local when --journal-dir is "
-        "set), local (durable directory), memory (full journaling "
-        "code path, nothing survives the process), none (default: "
-        "auto)",
     )
     serve.add_argument(
         "--request-timeout",
@@ -561,6 +553,12 @@ def _run_explain(args, writer: OutputWriter) -> int:
     ):
         # every resilience feature runs through the outcome-producing
         # batch path, even for a single question
+        if args.repairs:
+            raise ConfigurationError(
+                "--repairs explains one question at a time; it cannot "
+                "be combined with several --why-not, --batch, "
+                "--journal, --fallback-baseline or --workers > 1"
+            )
         return _run_explain_batch(
             args, writer, database, canonical, questions, budget
         )
@@ -802,7 +800,6 @@ def _run_serve(args, writer: OutputWriter) -> int:
             if args.journal_dir is not None
             else None
         ),
-        storage=args.storage,
         # only 0 means "disabled"; ServiceConfig rejects a negative
         # value instead of silently waiting forever
         request_timeout_s=(

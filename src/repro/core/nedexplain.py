@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import (
     BatchError,
@@ -125,9 +125,13 @@ class _PhaseTimer:
 class NedExplainConfig:
     """Tunable behaviour of the algorithm.
 
-    ``early_termination`` toggles Alg. 2 (ablation A3 of DESIGN.md);
-    ``compute_secondary`` toggles Def. 2.14; ``check_answer_presence``
-    reports when the "missing" answer is in fact present in the result.
+    Alg. 1 always computes the secondary answer (Def. 2.14) and always
+    reports when the "missing" answer is in fact present in the
+    result; budgets are passed per call (``budget=``) or installed
+    ambiently with :func:`~repro.robustness.budget.execution_context`.
+    What remains tunable:
+
+    ``early_termination`` toggles Alg. 2 (ablation A3 of DESIGN.md).
     ``use_shared_evaluation`` routes the bottom-up pass through one
     shared (cached) query evaluation instead of re-applying every
     manipulation per c-tuple; disabling it restores the paper's
@@ -137,18 +141,11 @@ class NedExplainConfig:
     lineage, and TabQ picks; the row engine stays the oracle); it
     selects only the evaluation engine, never how CompatibleFinder
     finds candidates, and it requires ``use_shared_evaluation``.
-    ``budget`` is the default execution budget applied to every
-    ``explain``/``explain_each`` call that does not pass its own; when
-    it runs out the call returns an explicit *degraded* report
-    (``report.partial``) instead of raising.
     """
 
     early_termination: bool = True
-    compute_secondary: bool = True
-    check_answer_presence: bool = True
     use_shared_evaluation: bool = True
     use_columnar: bool = False
-    budget: Budget | None = None
 
 
 class NedExplain:
@@ -268,7 +265,7 @@ class NedExplain:
     ) -> NedExplainReport:
         """Answer a Why-Not question; returns the full report.
 
-        With a *budget* (argument, ``config.budget``, or an ambient
+        With a *budget* (argument, or an ambient
         :func:`~repro.robustness.budget.execution_context` installed by
         the caller), exhaustion does not raise: the call returns a
         *degraded* report (``report.partial`` set, the partially-filled
@@ -277,7 +274,6 @@ class NedExplain:
         """
         predicate = self._coerce(predicate)
         predicate.validate_against(self.canonical.root)
-        budget = budget if budget is not None else self.config.budget
         tracer = current_tracer()
         if tracer is None:
             if budget is not None and current_context() is None:
@@ -332,18 +328,14 @@ class NedExplain:
 
             for original, unrenamed in pairs:
                 answer, tabq = self._explain_ctuple(unrenamed)
-                if (
-                    self.config.check_answer_presence
-                    and tabq is not None
-                ):
+                if tabq is not None:
                     root_entry = tabq.entry(self.canonical.root)
                     if root_entry.output is not None and any_compatible(
                         root_entry.output, original
                     ):
                         answer.answer_not_missing = True
-                answers.append(answer)
-                if tabq is not None:
                     self.last_tabqs.append(tabq)
+                answers.append(answer)
         except BudgetExceededError as exc:
             # Budgeted degradation: return what was completed plus a
             # best-effort answer for the in-flight c-tuple, explicitly
@@ -410,7 +402,7 @@ class NedExplain:
 
         Each question gets a fresh per-question
         :class:`~repro.robustness.budget.ExecutionContext` (built from
-        *budget*, falling back to ``config.budget``) and resolves to
+        *budget*) and resolves to
         either a report or a structured failure (error class, phase,
         budget spent) -- a failing question never takes the rest of the
         batch down, and an aborted evaluation never leaves a partial
@@ -454,7 +446,6 @@ class NedExplain:
             journalled, unstarted ones become ``"cancelled"`` outcomes.
             The batch only reads the token, never sets it.
         """
-        effective = budget if budget is not None else self.config.budget
         executor = ParallelExecutor(workers=workers, cancel=cancel)
 
         def _replay(index, predicate):
@@ -467,7 +458,7 @@ class NedExplain:
 
         def _resolve(index, predicate):
             return self._resolve_outcome(
-                predicate, effective, fallback_baseline
+                predicate, budget, fallback_baseline
             )
 
         def _record(index, predicate, outcome):
@@ -619,13 +610,9 @@ class NedExplain:
             )
             raise
 
-        secondary: tuple[Query, ...] = ()
-        if self.config.compute_secondary:
-            with _PhaseTimer(self, "BottomUp"):
-                picky_nodes = {id(e.subquery) for e in detailed}
-                secondary = self._secondary_answer(
-                    tabq, compat, picky_nodes
-                )
+        with _PhaseTimer(self, "BottomUp"):
+            picky_nodes = {id(e.subquery) for e in detailed}
+            secondary = self._secondary_answer(tabq, compat, picky_nodes)
 
         answer = WhyNotAnswer(
             ctuple=tc,

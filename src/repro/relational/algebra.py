@@ -682,11 +682,6 @@ def validate_tree(root: Query) -> None:
         )
 
 
-def target_condition_attributes(condition: Condition) -> frozenset[str]:
-    """Attributes a selection condition needs from its input."""
-    return condition.attributes()
-
-
 # ---------------------------------------------------------------------------
 # Structural fingerprints (shared-evaluation cache keys)
 # ---------------------------------------------------------------------------
@@ -802,11 +797,6 @@ def query_fingerprint(
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def alias_mapping_of(root: Query) -> dict[str, RelationSchema]:
-    """Map alias -> aliased relation schema for all leaves."""
-    return {leaf.alias: leaf.schema for leaf in root.leaves()}
 
 
 def subtree_covering(root: Query, attributes: frozenset[str]) -> Query | None:

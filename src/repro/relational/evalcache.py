@@ -236,11 +236,6 @@ class EvaluationCache:
         # ColumnarResult: memoized lossless conversion + rebind
         return entry.rebind(root)
 
-    def peek(self, key: tuple) -> EvaluationResult | None:
-        """The entry under *key*, without touching LRU order or stats."""
-        with self._lock:
-            return self._entries.get(key)
-
     def check_invariants(self) -> None:
         """Assert the cache is in a consistent, uncorrupted state.
 

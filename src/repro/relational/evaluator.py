@@ -25,10 +25,9 @@ from .instance import DatabaseInstance, query_input_instance
 from .tuples import Tuple, Value
 
 #: Monotonic serial per evaluation run, shared by the row and columnar
-#: engines.  Operator spans carry it as the ``eval`` tag so trace
-#: consumers (``statistics.actuals_from_trace``) can aggregate
-#: multi-span per-batch operator records within one evaluation without
-#: mixing records of distinct evaluations.
+#: engines.  Operator spans carry it as the ``eval`` tag, so a trace
+#: reader can group the columnar engine's per-batch operator spans by
+#: evaluation without mixing the spans of distinct evaluations.
 _EVAL_SERIALS = itertools.count(1)
 
 #: Positions of one tuple's children in a node's output: a bare ``int``

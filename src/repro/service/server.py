@@ -28,8 +28,8 @@ Routes::
     POST /v1/databases         register + warm a database
     POST /v1/explain           one question -> one report
     POST /v1/explain_batch     N questions through ParallelExecutor,
-                               journaled crash-safe when a storage
-                               backend is configured
+                               journaled crash-safe when a journal
+                               directory is configured
     GET  /v1/batches/<id>      stored result of a journaled batch
 
 Connections carry a socket timeout (``--request-timeout``): a client
@@ -92,6 +92,10 @@ __all__ = ["ReproServiceServer", "ServiceHandler", "serve"]
 SERVE_EXIT_OK = 0
 SERVE_EXIT_ERROR = 2
 SERVE_EXIT_FORCED = 5
+
+#: ``Retry-After`` seconds reported on shed, starting and draining
+#: responses.
+RETRY_AFTER_S = 1.0
 
 #: HTTP status for each library error class the handlers map.  Order
 #: matters: the first isinstance match wins, so the throttling class
@@ -270,7 +274,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 status = mapped
                 break
         if isinstance(exc, LoadShedError):
-            retry_after = self.state.config.retry_after_s
+            retry_after = RETRY_AFTER_S
         if status == 500 and not isinstance(exc, ReproError):
             # never leak a raw traceback as a closed connection
             self._fail(500, "InternalError", f"{type(exc).__name__}: {exc}")
@@ -354,11 +358,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._respond(
                     200 if ready else 503,
                     document,
-                    retry_after_s=(
-                        None
-                        if ready
-                        else self.state.config.retry_after_s
-                    ),
+                    retry_after_s=None if ready else RETRY_AFTER_S,
                 )
             elif path == "/metrics":
                 self._route = "metrics"
@@ -423,7 +423,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "service is draining"
                 if state.draining
                 else "service is starting",
-                retry_after_s=state.config.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
             return
         state.gate.acquire()
@@ -484,7 +484,7 @@ def serve(
     print(
         f"service ready on {host}:{port} "
         f"(workers={config.workers}, shed_after={config.shed_after}, "
-        f"storage={config.resolved_storage})",
+        f"journal_dir={config.journal_dir})",
         file=out,
         flush=True,
     )

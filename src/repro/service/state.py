@@ -58,12 +58,11 @@ from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
 from ..robustness import Budget, CancellationToken
 from ..robustness.journal import read_result, record_line
-from ..storage import StorageBackend, atomic_write_text, open_backend
+from ..storage import StorageBackend, atomic_write_text
 
 __all__ = [
     "AdmissionGate",
     "DEGRADATION_SEVERITY",
-    "STORAGE_KINDS",
     "ServiceConfig",
     "ServiceState",
 ]
@@ -96,10 +95,6 @@ def _without_id(document: Mapping[str, Any]) -> dict:
     return {k: v for k, v in document.items() if k != "request_id"}
 
 
-#: Storage backend selections understood by ``--storage``.
-STORAGE_KINDS: tuple[str, ...] = ("auto", "local", "memory", "none")
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything ``serve`` needs to run one service process."""
@@ -115,10 +110,6 @@ class ServiceConfig:
     #: directory for batch journals + registrations (``None``
     #: disables request journaling and crash recovery)
     journal_dir: Path | None = None
-    #: storage backend kind (``auto`` picks ``local`` when
-    #: ``journal_dir`` is set, ``none`` otherwise; ``memory`` runs the
-    #: full journaling/recovery code path without a disk)
-    storage: str = "auto"
     #: per-connection socket timeout in seconds: a client that stalls
     #: mid-request gets a clean 408 envelope instead of parking a
     #: worker thread forever (``None`` = wait indefinitely)
@@ -126,20 +117,8 @@ class ServiceConfig:
     #: seconds :func:`~repro.service.server.serve` waits for in-flight
     #: requests after the accept loop stops before giving up
     drain_timeout_s: float = 10.0
-    #: ``Retry-After`` seconds reported on shed / draining responses
-    retry_after_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.storage not in STORAGE_KINDS:
-            raise ConfigurationError(
-                f"unknown storage kind {self.storage!r}; choose from "
-                f"{', '.join(STORAGE_KINDS)}"
-            )
-        if self.storage == "local" and self.journal_dir is None:
-            raise ConfigurationError(
-                "--storage local needs a journal directory "
-                "(--journal-dir)"
-            )
         if (
             self.request_timeout_s is not None
             and self.request_timeout_s <= 0
@@ -170,12 +149,6 @@ class ServiceConfig:
             object.__setattr__(
                 self, "journal_dir", Path(self.journal_dir)
             )
-    @property
-    def resolved_storage(self) -> str:
-        """The concrete backend kind ``auto`` resolves to."""
-        if self.storage != "auto":
-            return self.storage
-        return "local" if self.journal_dir is not None else "none"
 
 
 class AdmissionGate:
@@ -258,26 +231,28 @@ class ServiceState:
         #: recovery problems, surfaced on /readyz (the server starts
         #: regardless; a stuck manifest must not block the healthy ones)
         self._recovery_errors: list[str] = []
-        #: the persistence layer; ``None`` disables journaling and
-        #: recovery entirely (storage kind "none")
+        #: the persistence layer; ``None`` (no journal directory)
+        #: disables journaling and recovery entirely
         self.backend: StorageBackend | None = None
         #: the :class:`~repro.storage.backend.RecoveryReport` of the
         #: startup storage scan (``None`` without a backend)
         self.storage_recovery = None
-        kind = config.resolved_storage
-        if kind != "none":
-            if config.journal_dir is not None:
-                config.journal_dir.mkdir(parents=True, exist_ok=True)
-            self.backend = open_backend(
-                kind,
-                root=config.journal_dir,
-                metrics=self.metrics,
+        if config.journal_dir is not None:
+            self.open_storage(
+                StorageBackend(config.journal_dir, metrics=self.metrics)
             )
-            # storage-level recovery runs before anything reads the
-            # directory: stray temp files are quarantined and a corrupt
-            # databases.json is repaired from its newest valid snapshot
-            self.storage_recovery = self.backend.recover()
-            self._load_registrations()
+
+    def open_storage(self, backend: StorageBackend) -> None:
+        """Journal to *backend* from now on.
+
+        Storage-level recovery runs before anything reads the
+        directory: stray temp files are quarantined and a corrupt
+        databases.json is repaired from its newest valid snapshot.
+        Then the persisted registrations are loaded.
+        """
+        self.backend = backend
+        self.storage_recovery = backend.recover()
+        self._load_registrations()
 
     # ------------------------------------------------------------------
     # Database registry

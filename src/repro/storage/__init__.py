@@ -1,4 +1,4 @@
-"""Crash-consistent pluggable storage for the why-not service.
+"""Crash-consistent storage for the why-not service.
 
 Three layers, bottom up:
 
@@ -15,8 +15,8 @@ Three layers, bottom up:
   journals (the WAL; one file per service batch), checksummed
   generation-numbered snapshots, and a pre-ready recovery scan that
   quarantines or repairs corrupt artifacts under ``storage.*``
-  metrics.  :class:`LocalDirBackend` is a real directory;
-  :class:`MemoryBackend` runs the same logic without a disk;
+  metrics.  It runs on :class:`LocalIO` by default; ``io=MemoryIO()``
+  runs the same logic without a disk;
 
 * :mod:`~repro.storage.crashsim` -- the ALICE/CrashMonkey-style
   crash-state enumeration harness: :class:`SimIO` records an operation
@@ -26,15 +26,12 @@ Three layers, bottom up:
 """
 
 from .backend import (
-    LocalDirBackend,
-    MemoryBackend,
     QUARANTINE_KEEP,
     RecoveryReport,
     SNAPSHOT_KEEP,
     StorageBackend,
     atomic_write_json,
     atomic_write_text,
-    open_backend,
 )
 from .crashsim import (
     CrashSim,
@@ -49,9 +46,7 @@ from .io import LocalIO, MemoryIO, StorageIO
 
 __all__ = [
     "CrashSim",
-    "LocalDirBackend",
     "LocalIO",
-    "MemoryBackend",
     "MemoryIO",
     "Op",
     "OpLog",
@@ -66,5 +61,4 @@ __all__ = [
     "enumerate_crash_states",
     "journal_commit_horizon",
     "materialize",
-    "open_backend",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable storage backends: one durability story for everything.
+"""The storage backend: one durability story for everything.
 
 A :class:`StorageBackend` holds the service's two kinds of durable
 state -- one :class:`~repro.robustness.journal.BatchJournal` file per
@@ -25,10 +25,10 @@ primitives:
   every decision is counted under ``storage.*`` metrics and wrapped
   in a ``storage.recover`` span.
 
-Two implementations ship: :class:`LocalDirBackend` (a directory on the
-real filesystem) and :class:`MemoryBackend` (the same logic over
-:class:`~repro.storage.io.MemoryIO` -- no durability, same code path,
-instant tests).
+One class serves every use.  By default it runs on
+:class:`~repro.storage.io.LocalIO`, a directory on the real
+filesystem; tests pass ``io=MemoryIO()`` or the crash simulator's
+``SimIO`` to run the same logic without a disk.
 
 Layout compatibility: a directory holds ``databases.json``, its
 ``databases.gen-N.snap.json`` snapshots and one ``<id>.journal.jsonl``
@@ -50,11 +50,9 @@ from typing import Any, Mapping
 from ..errors import StorageError
 from ..obs import MetricsRegistry, span
 from ..obs.trace import metric_counter
-from .io import LocalIO, MemoryIO, StorageIO
+from .io import LocalIO, StorageIO
 
 __all__ = [
-    "LocalDirBackend",
-    "MemoryBackend",
     "QUARANTINE_KEEP",
     "RecoveryReport",
     "SNAPSHOT_FORMAT",
@@ -62,7 +60,6 @@ __all__ = [
     "StorageBackend",
     "atomic_write_text",
     "atomic_write_json",
-    "open_backend",
 ]
 
 SNAPSHOT_FORMAT = "repro.storage.snapshot"
@@ -159,30 +156,29 @@ class RecoveryReport:
 class StorageBackend:
     """One directory-shaped namespace of documents, journals, snapshots.
 
-    All I/O flows through ``self.io`` (a :class:`~repro.storage.io.
-    StorageIO`), which is what makes every backend -- local, in-memory,
-    simulated -- fault-injectable and crash-enumerable with the same
-    code.  Names are plain relative filenames (``databases.json``,
+    All I/O flows through ``self.io``, a
+    :class:`~repro.storage.io.StorageIO` (``LocalIO`` unless given).
+    That makes the backend fault-injectable and crash-enumerable with
+    the same code on a real disk, in memory, or in the simulator.
+    The root directory is created (with its parents) when missing.
+    Names are plain relative filenames (``databases.json``,
     ``abc123.journal.jsonl``); nesting is deliberately unsupported.
     """
-
-    #: short backend kind, reported by ``describe()`` / ``/readyz``
-    kind = "abstract"
 
     def __init__(
         self,
         root: Path,
-        io: StorageIO,
         metrics: MetricsRegistry | None = None,
+        io: StorageIO | None = None,
     ):
         self.root = Path(root)
-        self.io = io
+        self.io = io if io is not None else LocalIO()
         self.metrics = metrics
         #: quarantine names in the order this process created them;
         #: entries found on disk but not listed here (a previous run's)
         #: are treated as oldest
         self._quarantine_order: list[str] = []
-        io.mkdir(self.root)
+        self.io.mkdir(self.root)
 
     # -- metrics -------------------------------------------------------
     def _count(self, name: str, n: int = 1) -> None:
@@ -452,64 +448,7 @@ class StorageBackend:
 
     # -- introspection -------------------------------------------------
     def describe(self) -> dict:
-        return {"kind": self.kind, "root": str(self.root)}
+        return {"kind": self.io.kind, "root": str(self.root)}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self.root)!r})"
-
-
-class LocalDirBackend(StorageBackend):
-    """A directory on the real filesystem (the durable backend)."""
-
-    kind = "local"
-
-    def __init__(
-        self,
-        root: Path,
-        metrics: MetricsRegistry | None = None,
-        io: StorageIO | None = None,
-    ):
-        super().__init__(
-            root, io if io is not None else LocalIO(), metrics
-        )
-
-
-class MemoryBackend(StorageBackend):
-    """The same backend logic over an in-memory filesystem.
-
-    Nothing survives the process -- which is exactly the point: the
-    service's ``--storage memory`` runs the full journaling/recovery
-    code path (idempotent request replay, batch result retrieval)
-    without touching disk, and tests get a backend that cannot leak
-    tempdirs.
-    """
-
-    kind = "memory"
-
-    def __init__(self, metrics: MetricsRegistry | None = None):
-        super().__init__(Path("/memory"), MemoryIO(), metrics)
-
-
-def open_backend(
-    kind: str,
-    root: Path | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> StorageBackend:
-    """Construct the backend selected by ``--storage``.
-
-    ``local`` needs *root* (the journal directory); ``memory`` ignores
-    it.  Unknown kinds raise :class:`~repro.errors.StorageError` so a
-    typo'd ``--storage`` fails at startup, not at first write.
-    """
-    if kind == "memory":
-        return MemoryBackend(metrics=metrics)
-    if kind == "local":
-        if root is None:
-            raise StorageError(
-                "the local storage backend needs a root directory "
-                "(--journal-dir)"
-            )
-        return LocalDirBackend(root, metrics=metrics)
-    raise StorageError(
-        f"unknown storage backend {kind!r}; choose local or memory"
-    )

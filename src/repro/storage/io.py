@@ -129,6 +129,9 @@ class StorageIO:
     or the crash simulator's op log -- sees every byte.
     """
 
+    #: short name of the medium, reported on ``/readyz``
+    kind = "abstract"
+
     # -- handles -------------------------------------------------------
     def open(self, path: Path, mode: str):
         raise NotImplementedError
@@ -193,6 +196,8 @@ class LocalIO(StorageIO):
     BatchJournal`'s root-safe permission tests) replaces the builtin
     ``open`` for handle creation; everything else is plain ``os``.
     """
+
+    kind = "local"
 
     def __init__(self, open_hook=None):
         self._open_hook = open_hook
@@ -369,6 +374,8 @@ class MemoryIO(StorageIO):
     (the crash simulator) override the mutation points to record an
     operation log and model durability.
     """
+
+    kind = "memory"
 
     def __init__(self):
         self.files: dict[str, str] = {}

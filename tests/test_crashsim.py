@@ -49,6 +49,7 @@ from repro.storage import (
     Op,
     OpLog,
     SimIO,
+    StorageBackend,
     atomic_write_json,
     enumerate_crash_states,
     journal_commit_horizon,
@@ -455,13 +456,13 @@ def _json(document):
 
 
 def _service_state(io):
-    """A memory-storage service whose backend runs on *io*, started
-    the way ``serve`` starts one up to batch recovery: storage
-    recovery, then the persisted registrations."""
-    state = ServiceState(ServiceConfig(storage="memory"))
-    state.backend.io = io
-    state.storage_recovery = state.backend.recover()
-    state._load_registrations()
+    """A service whose storage runs on *io*, started the way ``serve``
+    starts one up to batch recovery: storage recovery, then the
+    persisted registrations."""
+    state = ServiceState(ServiceConfig())
+    state.open_storage(
+        StorageBackend(Path("/memory"), metrics=state.metrics, io=io)
+    )
     return state
 
 

@@ -505,6 +505,47 @@ class TestCliResilience:
         assert code == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "batch_flags",
+        [
+            ["--why-not", "(A.name: Sophocles)"],
+            ["--batch"],
+            ["--fallback-baseline"],
+            ["--workers", "2"],
+        ],
+    )
+    def test_repairs_refused_on_batch_path(
+        self, running_example_db, tmp_path, capsys, batch_flags
+    ):
+        """The batch path prints no repairs, so asking for them there
+        is a configuration error, not a silently dropped flag."""
+        import json
+
+        save_database(running_example_db, tmp_path / "db")
+        code = main(
+            self._base_args(tmp_path)
+            + ["--why-not", "(A.name: Homer)", "--repairs"]
+            + batch_flags
+        )
+        assert code == 2
+        document = json.loads(capsys.readouterr().out)
+        assert document["error"]["type"] == "ConfigurationError"
+        assert "--repairs" in document["error"]["message"]
+        assert "outcomes" not in document
+
+    def test_serve_has_no_storage_flag(self, capsys, monkeypatch):
+        """The service journals if and only if --journal-dir is
+        given; there is no storage selector to pass."""
+
+        def never_started(*args, **kwargs):
+            raise AssertionError("serve started despite --storage")
+
+        monkeypatch.setattr("repro.service.serve", never_started)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--storage", "memory"])
+        assert exit_info.value.code == 2
+        assert "--storage" in capsys.readouterr().err
+
 
 class TestCliErrorEnvelope:
     """Every nonzero ``--json`` exit carries one stable error envelope:

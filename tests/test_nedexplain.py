@@ -288,17 +288,6 @@ class TestSecondaryAnswer:
         assert answer.secondary_labels == ("m2",)
         assert answer.condensed_labels == ("m3",)
 
-    def test_secondary_disabled_by_config(self):
-        from repro.bench import run_use_case
-
-        result = run_use_case(
-            "Crime5",
-            run_baseline=False,
-            config=NedExplainConfig(compute_secondary=False),
-        )
-        (answer,) = result.ned.answers
-        assert answer.secondary == ()
-
 
 # ---------------------------------------------------------------------------
 # Aggregation condition (Def. 2.12, second part)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baseline import WhyNotBaseline
-from repro.core import NedExplain, NedExplainConfig, canonicalize
+from repro.core import NedExplain, canonicalize
 from repro.errors import (
     BatchError,
     BudgetExceededError,
@@ -233,16 +233,6 @@ class TestDegradedExplain:
         )
         assert not budgeted.partial
         assert report_fingerprint(budgeted) == report_fingerprint(plain)
-
-    def test_config_budget_is_the_default(self, chain):
-        db, canonical = chain
-        engine = NedExplain(
-            canonical,
-            database=db,
-            config=NedExplainConfig(budget=Budget(max_rows=3)),
-            cache=EvaluationCache(),
-        )
-        assert engine.explain(chain_predicate()).partial
 
     def test_mid_traversal_exhaustion_keeps_prefix(self, chain):
         """Exhaustion during the TabQ walk attaches the partial answer

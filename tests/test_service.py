@@ -52,11 +52,27 @@ from repro.service import (
     serve,
 )
 from repro.service.client import ServiceClient
+from repro.storage import MemoryIO, StorageBackend
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 SQL = "SELECT Person.name FROM Person WHERE Person.hair = 'brown'"
 REGISTER = {"name": "crime", "use_case_db": "crime"}
+
+
+def _memory_state(io=None) -> ServiceState:
+    """A service journaling to an in-memory disk (*io*, a fresh
+    ``MemoryIO`` by default): the full journaling and recovery path,
+    and no files left behind."""
+    state = ServiceState(ServiceConfig())
+    state.open_storage(
+        StorageBackend(
+            Path("/memory"),
+            metrics=state.metrics,
+            io=io if io is not None else MemoryIO(),
+        )
+    )
+    return state
 
 
 def _explain_body(question="(Person.name: Roger)", **extra):
@@ -232,10 +248,9 @@ class TestServiceState:
         record is written."""
         from repro.storage import SimIO
 
-        state = self._state(storage="memory")
         sim = SimIO()
-        sim.mkdir(state.backend.root)
-        state.backend.io = sim
+        state = _memory_state(sim)
+        state.ready.set()
         state.register_database(REGISTER)
         start = len(sim.log)
         questions = ["(Person.name: Roger)", "(Person.name: Hannah)"] * 4
@@ -544,7 +559,7 @@ class TestBatchRequests:
         """An internal error stops its own batch only: the service's
         drain token outlives every batch and must stay unset, so the
         next batch on the same state is answered in full."""
-        state = ServiceState(ServiceConfig(storage="memory"))
+        state = _memory_state()
         state.ready.set()
         state.register_database(REGISTER)
         record = BatchJournal.record
@@ -868,25 +883,23 @@ class TestServiceDrain:
 # ---------------------------------------------------------------------------
 class TestStorageKinds:
     def test_storage_config_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="storage"):
-            ServiceConfig(storage="floppy")
-        with pytest.raises(ConfigurationError, match="journal"):
-            ServiceConfig(storage="local")
-        assert ServiceConfig().resolved_storage == "none"
-        assert (
-            ServiceConfig(journal_dir=tmp_path / "j").resolved_storage
-            == "local"
-        )
-        assert ServiceConfig(storage="memory").resolved_storage == "memory"
-        assert (
-            ServiceConfig(
-                storage="none", journal_dir=tmp_path / "j"
-            ).resolved_storage
-            == "none"
-        )
+        """The service journals if and only if it has a journal
+        directory, which it creates."""
+        assert ServiceState(ServiceConfig()).backend is None
+        journal_dir = tmp_path / "deep" / "j"
+        state = ServiceState(ServiceConfig(journal_dir=journal_dir))
+        assert state.backend.root == journal_dir
+        assert journal_dir.is_dir()
+        _ready, document = state.ready_document()
+        assert document["storage"] == {
+            "kind": "local",
+            "root": str(journal_dir),
+        }
+        with pytest.raises(TypeError):
+            ServiceConfig(storage="memory")
 
     def test_memory_storage_batches_without_touching_disk(self):
-        state = ServiceState(ServiceConfig(storage="memory"))
+        state = _memory_state()
         state.ready.set()
         state.register_database(REGISTER)
         body = _batch_body(request_id="m1", workers=2)
@@ -900,19 +913,23 @@ class TestStorageKinds:
             "m1.journal.jsonl"
         ]
 
-    def test_memory_storage_over_http(self):
-        with _live_server(storage="memory") as (httpd, client):
+    def test_journaled_storage_over_http(self, tmp_path):
+        with _live_server(journal_dir=tmp_path / "journal") as (
+            httpd,
+            client,
+        ):
             client.register_database(REGISTER)
             first = client.explain_batch(
-                _batch_body(request_id="mem-http")
+                _batch_body(request_id="disk-http")
             )
             assert first.status == 200
             replay = client.explain_batch(
-                _batch_body(request_id="mem-http")
+                _batch_body(request_id="disk-http")
             )
             assert replay.body["cached_result"] is True
             ready = client.readyz()
-            assert ready.body["storage"]["kind"] == "memory"
+            assert ready.body["storage"]["kind"] == "local"
+        assert (tmp_path / "journal" / "disk-http.journal.jsonl").exists()
 
     def test_readyz_reports_storage_recovery(self, tmp_path):
         journal_dir = tmp_path / "journal"
@@ -983,7 +1000,7 @@ class TestLegacyJournalDirectory:
         resumed = state.batch_result("unfinished")
         assert resumed["replayed"] == 2
         with use_clock(ManualClock()):
-            clean_state = ServiceState(ServiceConfig(storage="memory"))
+            clean_state = _memory_state()
             clean_state.register_database(REGISTER)
             clean, _ = clean_state.explain_batch(manifests["unfinished"])
         assert json.dumps(resumed["outcomes"], sort_keys=True) == (
@@ -1316,7 +1333,7 @@ class TestKeepAlive:
 # ---------------------------------------------------------------------------
 class TestReplicatedService:
     def test_unreplicated_readyz_has_no_replica_block(self):
-        state = ServiceState(ServiceConfig(storage="memory"))
+        state = _memory_state()
         state.ready.set()
         ready, document = state.ready_document()
         assert ready and document["status"] == "ready"

@@ -1,4 +1,4 @@
-"""The pluggable storage subsystem: shim faults, backends, recovery.
+"""The storage subsystem: shim faults, the backend, recovery.
 
 Three layers under test:
 
@@ -6,8 +6,8 @@ Three layers under test:
   in-memory disks speak one primitive surface, and the
   ``io.*`` fault sites make either misbehave deterministically
   (partial writes land, renames tear, reads fail);
-* the :class:`~repro.storage.backend.StorageBackend` -- atomic
-  durable documents, checksummed generation-numbered snapshots,
+* the :class:`~repro.storage.backend.StorageBackend`, over both disks
+  -- atomic durable documents, checksummed generation-numbered snapshots,
   quarantine-not-delete recovery;
 * the integration with :class:`~repro.robustness.journal.BatchJournal`
   (ENOSPC mid-append, unreadable files, read-only directories) and
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,18 +27,21 @@ from repro.robustness import FaultPlan, FaultSpec, inject
 from repro.robustness.faults import ALL_FAULT_SITES, IO_FAULT_SITES
 from repro.robustness.journal import BatchJournal
 from repro.storage import (
-    LocalDirBackend,
-    MemoryBackend,
     MemoryIO,
+    StorageBackend,
     atomic_write_json,
     atomic_write_text,
-    open_backend,
 )
 from repro.storage.backend import SNAPSHOT_KEEP
 
 
 def _spec(site: str, at_call: int = 0) -> FaultPlan:
     return FaultPlan([FaultSpec(site, at_call=at_call)])
+
+
+def _memory_backend(metrics=None) -> StorageBackend:
+    """The backend over an in-memory disk: same logic, no files."""
+    return StorageBackend(Path("/memory"), metrics=metrics, io=MemoryIO())
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,7 @@ class TestFaultSites:
     def test_eio_fails_reads(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("data")
-        backend = LocalDirBackend(tmp_path)
+        backend = StorageBackend(tmp_path)
         with inject(_spec("io.eio")):
             with pytest.raises(StorageError) as excinfo:
                 backend.io.read_text(path)
@@ -137,8 +141,8 @@ class TestMemoryIO:
 @pytest.fixture(params=["local", "memory"])
 def backend(request, tmp_path):
     if request.param == "local":
-        return LocalDirBackend(tmp_path)
-    return MemoryBackend()
+        return StorageBackend(tmp_path)
+    return _memory_backend()
 
 
 class TestDocuments:
@@ -188,7 +192,7 @@ class TestSnapshots:
         assert name in backend.io.listdir(qdir)
 
     def test_unreadable_snapshot_is_skipped(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
+        backend = StorageBackend(tmp_path)
         backend.write_snapshot("fam", {"v": 1})
         backend.write_snapshot("fam", {"v": 2})
         # io.eio call 0 is the directory listing; call 1 is the read
@@ -259,7 +263,7 @@ class TestQuarantineCap:
 
         monkeypatch.setattr("repro.storage.backend.QUARANTINE_KEEP", 3)
         metrics = MetricsRegistry()
-        backend = MemoryBackend(metrics=metrics)
+        backend = _memory_backend(metrics=metrics)
         for i in range(5):
             backend.io.write_text(
                 backend.path_of(f"bad-{i}.json.tmp"), "torn"
@@ -279,7 +283,7 @@ class TestQuarantineCap:
 
     def test_inherited_evidence_is_pruned_before_fresh(self, monkeypatch):
         monkeypatch.setattr("repro.storage.backend.QUARANTINE_KEEP", 2)
-        backend = MemoryBackend()
+        backend = _memory_backend()
         # evidence left behind by an earlier process: on disk but not
         # in this process's quarantine order
         qdir = backend.root / "quarantine"
@@ -299,16 +303,27 @@ class TestQuarantineCap:
 
 class TestOpenBackend:
     def test_kinds(self, tmp_path):
-        assert open_backend("local", root=tmp_path).kind == "local"
-        assert open_backend("memory").kind == "memory"
+        """The backend runs on the real disk unless given another
+        medium, and reports which one on /readyz."""
+        local = StorageBackend(tmp_path / "journal")
+        assert local.describe() == {
+            "kind": "local",
+            "root": str(tmp_path / "journal"),
+        }
+        memory = StorageBackend(tmp_path / "elsewhere", io=MemoryIO())
+        memory.write_document("databases.json", {"a": 1})
+        assert memory.describe()["kind"] == "memory"
+        assert memory.read_document("databases.json") == {"a": 1}
+        assert not (tmp_path / "elsewhere").exists()
 
-    def test_local_needs_root(self):
+    def test_local_needs_root(self, tmp_path):
+        """The root is created with its parents; a root that cannot
+        be created fails at startup, not at the first write."""
+        StorageBackend(tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
+        (tmp_path / "file").write_text("not a directory")
         with pytest.raises(StorageError):
-            open_backend("local")
-
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_backend("cloud", root=tmp_path)
+            StorageBackend(tmp_path / "file" / "journal")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +335,7 @@ def _outcome(i: int) -> dict:
 
 class TestJournalOnBackend:
     def test_journal_round_trip_on_memory(self):
-        backend = MemoryBackend()
+        backend = _memory_backend()
         journal = backend.journal("batch.journal.jsonl")
         journal.record(0, "(q: 0)", _outcome(0))
         journal.record(1, "(q: 1)", _outcome(1))
