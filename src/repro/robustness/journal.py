@@ -8,6 +8,9 @@ questions.  A service batch is one journal: the batch manifest is its
 first record and the batch result its last, as one-key objects
 (``{"manifest": ...}``, ``{"result": ...}``) that a torn or zeroed line
 can never parse as; :func:`read_result` parses the last line alone.
+The service's registrations journal holds one-key ``{"registration":
+...}`` records, each appended and synced by :meth:`BatchJournal.finish`;
+:func:`load_records` reads every kind of record.
 
 Durability is paid once per batch, not once per question.  Each record
 is flushed to the kernel before it returns, so a killed process
@@ -65,7 +68,7 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError, JournalError, StorageError
 
-__all__ = ["BatchJournal", "question_digest", "read_result"]
+__all__ = ["BatchJournal", "load_records", "question_digest", "read_result"]
 
 #: Journal record format version.  Version 2 added the ``qdigest``
 #: question-identity field; version-1 records fail verification and are
@@ -111,8 +114,12 @@ def _checksum(record: Mapping[str, Any]) -> str:
     )
 
 
+#: The one-key records: a batch's first and last, and a registration.
+_RECORD_KEYS = ("manifest", "result", "registration")
+
+
 def record_line(key: str, document: Mapping[str, Any]) -> str:
-    """The journal line of a manifest or result record."""
+    """The journal line of a one-key record (:data:`_RECORD_KEYS`)."""
     return _canonical({key: document}) + "\n"
 
 
@@ -135,6 +142,66 @@ def read_result(path: Path, io) -> dict | None:
         return _document(json.loads(last), "result")
     except json.JSONDecodeError:
         return None
+
+
+def _verify(record: Any) -> bool:
+    if not isinstance(record, dict):
+        return False
+    required = {
+        "v", "index", "question", "qdigest", "outcome", "checksum",
+    }
+    if not required <= set(record):
+        return False
+    if record["v"] != JOURNAL_VERSION:
+        return False
+    if record["qdigest"] != question_digest(str(record["question"])):
+        return False
+    return _checksum(record) == record["checksum"]
+
+
+def load_records(path: Path, io) -> tuple[list[tuple[str, dict]], int]:
+    """The intact ``(key, document)`` records of the journal at *path*,
+    and how many were discarded.
+
+    ``key`` is ``"manifest"``, ``"result"`` or ``"registration"`` for a
+    one-key record and ``"question"`` for a verified question record.
+    Reading stops at the first line that is neither (a torn write,
+    zeroed blocks); that line and the rest are cut off the file, so
+    records appended later are read back by the next load.
+    """
+    try:
+        text = io.read_text(path)
+    except (OSError, StorageError) as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from exc
+    records: list[tuple[str, dict]] = []
+    discarded = 0
+    intact = ""
+    for line in text.split("\n"):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            record = None  # torn write
+        keys = [k for k in _RECORD_KEYS if _document(record, k) is not None]
+        key = keys[0] if keys else "question"
+        if key == "question" and not _verify(record):
+            discarded += 1
+            break  # nothing after it is trustworthy
+        records.append((key, record if key == "question" else record[key]))
+        intact += line + "\n"
+    if intact != text:
+        # cut the rest off first: appended after it, new records
+        # would be unreachable on the next load
+        from ..storage.backend import atomic_write_text
+
+        try:
+            atomic_write_text(path, intact, io=io)
+        except (OSError, StorageError) as exc:
+            raise JournalError(
+                f"cannot cut the torn tail of {path}: {exc}"
+            ) from exc
+    return records, discarded
 
 
 class BatchJournal:
@@ -176,7 +243,12 @@ class BatchJournal:
         self.manifest: dict | None = None
         self.discarded = 0  # torn/corrupt records dropped on load
         if resume and io.exists(self.path):
-            self._load()
+            records, self.discarded = load_records(self.path, io)
+            for key, document in records:
+                if key == "manifest":
+                    self.manifest = document
+                elif key == "question":
+                    self._records[int(document["index"])] = document
         if not io.is_dir(self.path.parent):
             # refuse to invent directories for a durability artifact: a
             # typo'd --journal path must fail loudly, not journal into
@@ -197,59 +269,6 @@ class BatchJournal:
         raw = os.environ.get(SIGINT_AFTER_ENV, "")
         self._sigint_after = int(raw) if raw.strip() else 0
         self._sigint_sent = False
-
-    # ------------------------------------------------------------------
-    # Load (resume)
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        try:
-            text = self._io.read_text(self.path)
-        except (OSError, StorageError) as exc:
-            raise JournalError(
-                f"cannot read journal {self.path}: {exc}"
-            ) from exc
-        intact = ""
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                record = None  # torn write
-            if _document(record, "manifest") is not None:
-                self.manifest = record["manifest"]
-            elif _document(record, "result") is None:
-                if not self._verify(record):
-                    self.discarded += 1
-                    break  # nothing after it is trustworthy
-                self._records[int(record["index"])] = record
-            intact += line + "\n"
-        if intact != text:
-            # cut the rest off first: appended after it, new records
-            # would be unreachable on the next load
-            from ..storage.backend import atomic_write_text
-
-            try:
-                atomic_write_text(self.path, intact, io=self._io)
-            except (OSError, StorageError) as exc:
-                raise JournalError(
-                    f"cannot cut the torn tail of {self.path}: {exc}"
-                ) from exc
-
-    @staticmethod
-    def _verify(record: Any) -> bool:
-        if not isinstance(record, dict):
-            return False
-        required = {
-            "v", "index", "question", "qdigest", "outcome", "checksum",
-        }
-        if not required <= set(record):
-            return False
-        if record["v"] != JOURNAL_VERSION:
-            return False
-        if record["qdigest"] != question_digest(str(record["question"])):
-            return False
-        return _checksum(record) == record["checksum"]
 
     # ------------------------------------------------------------------
     # API used by explain_each
@@ -306,11 +325,12 @@ class BatchJournal:
         with self._lock:
             self._write_line(record_line("manifest", manifest))
 
-    def finish(self, result: Mapping[str, Any]) -> None:
-        """Append the batch result, then make the file durable: one
-        ``fsync`` of the file and one of its directory."""
+    def finish(self, document: Mapping[str, Any], key="result") -> None:
+        """Append a closing one-key record -- a batch's result, or one
+        ``"registration"`` -- then make the file durable: one ``fsync``
+        of the file and one of its directory."""
         with self._lock:
-            self._write_line(record_line("result", result))
+            self._write_line(record_line(key, document))
             self.close()
         self._io.fsync_dir(self.path.parent)
 

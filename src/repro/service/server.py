@@ -314,6 +314,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise ConfigurationError(
                 "request body must be a JSON object"
             )
+        return body
+
+    def _with_deadline(self, body: dict) -> dict:
+        """*body* with an ``X-Deadline-Ms`` header folded into its
+        ``budget.deadline_ms`` (explain requests only)."""
         deadline_ms = self.headers.get("X-Deadline-Ms")
         if deadline_ms is not None:
             try:
@@ -428,7 +433,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         state.gate.acquire()
         try:
-            body = self._read_body()
+            body = self._with_deadline(self._read_body())
             if batch:
                 document, fresh = state.explain_batch(body)
                 document["cached_result"] = not fresh

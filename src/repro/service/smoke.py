@@ -9,8 +9,9 @@ ephemeral port and walks the whole happy path plus the drain story:
 3. run a journaled ``/v1/explain_batch`` over it (workers=2) and check
    every outcome came back ``full``;
 4. fetch the stored result back by id (idempotence), and check the
-   batch is one file, ``smoke-batch.journal.jsonl``, with no
-   ``*.request.json`` or ``*.result.json`` beside it;
+   journal directory holds exactly ``registrations.journal.jsonl`` and
+   ``smoke-batch.journal.jsonl``: one file per batch and one for the
+   registrations, nothing else;
 5. scrape ``/metrics`` (JSON and Prometheus text) and check the batch
    counters moved, and that every request travelled over one kept-alive
    connection;
@@ -106,13 +107,13 @@ def run_smoke(journal_dir: Path, timeout_s: float = 60.0) -> int:
         ):
             return _fail("result", repr(stored.body))
         print("smoke: stored result matches")
-        files = [
-            p.name for p in journal_dir.iterdir()
-            if not p.name.startswith("databases.")
-        ]
-        if files != ["smoke-batch.journal.jsonl"]:
-            return _fail("layout", f"not one file per batch: {files}")
-        print("smoke: the batch is one journal file")
+        files = sorted(p.name for p in journal_dir.iterdir())
+        if files != [
+            "registrations.journal.jsonl",
+            "smoke-batch.journal.jsonl",
+        ]:
+            return _fail("layout", f"unexpected journal files: {files}")
+        print("smoke: one journal for the batch, one for registrations")
 
         metrics = client.metrics()
         snapshot = metrics.body.get("metrics", {})

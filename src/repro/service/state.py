@@ -27,8 +27,13 @@ converts a directory of the older three-file layout, then re-runs
 every journal whose last record is not a result, replaying the
 questions it holds -- so a SIGKILLed server converges to the outcomes
 an uninterrupted run would have produced (byte-identical under
-``REPRO_MANUAL_CLOCK``).  Database registrations are persisted as an
-atomic ``databases.json`` with snapshots.
+``REPRO_MANUAL_CLOCK``).
+
+**Registrations.**  Each accepted ``POST /v1/databases`` appends one
+``{"registration": {"name": ..., "source": {...}}}`` record to
+``registrations.journal.jsonl`` and syncs it (the file, then its
+directory) before the response; a restart replays the records, the
+last for a name winning, and writes nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import threading
 import uuid
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -57,7 +62,7 @@ from ..relational.csv_io import load_database
 from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
 from ..robustness import Budget, CancellationToken
-from ..robustness.journal import read_result, record_line
+from ..robustness.journal import load_records, read_result, record_line
 from ..storage import StorageBackend, atomic_write_text
 
 __all__ = [
@@ -77,16 +82,23 @@ DEGRADATION_SEVERITY: dict[str, int] = {
     "failed": 4,
 }
 
-#: Request ids become journal file names; keep them boring.
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+#: The journal of database registrations, beside the batch journals.
+_REGISTRATIONS = "registrations.journal.jsonl"
 
-#: Database names key registries and the persisted registration file.
+#: Request ids become journal file names; keep them boring, and off
+#: the registrations journal's name.
+_REQUEST_ID_RE = re.compile(r"^(?!registrations$)[A-Za-z0-9_-]{1,64}$")
+
+#: Database names key registries and the persisted registrations.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
 #: Every field a batch body may carry; any other is refused by name.
 _BATCH_FIELDS: tuple[str, ...] = (
     "database", "sql", "why_not", "request_id", "workers", "budget"
 )
+
+#: Every field a registration body may carry; any other is refused.
+_REGISTRATION_FIELDS = ("name", "use_case_db", "csv_dir", "scale", "warm")
 
 
 def _without_id(document: Mapping[str, Any]) -> dict:
@@ -246,13 +258,13 @@ class ServiceState:
         """Journal to *backend* from now on.
 
         Storage-level recovery runs before anything reads the
-        directory: stray temp files are quarantined and a corrupt
-        databases.json is repaired from its newest valid snapshot.
-        Then the persisted registrations are loaded.
+        directory: stray temp files are quarantined.  Then the
+        persisted registrations are replayed -- before the backend is
+        attached, so the replay writes nothing.
         """
-        self.backend = backend
         self.storage_recovery = backend.recover()
-        self._load_registrations()
+        self._load_registrations(backend)
+        self.backend = backend
 
     # ------------------------------------------------------------------
     # Database registry
@@ -261,17 +273,45 @@ class ServiceState:
         """Register (or re-register) a database and warm it.
 
         ``body`` carries ``name`` plus a source: ``use_case_db`` (one
-        of the paper's evaluation databases, optionally scaled) or
-        ``csv_dir`` (a directory of CSV files on the server host).
-        Optional ``warm``: a list of SQL texts whose canonical trees
-        and shared evaluations are primed right now, so the first
-        explain against them pays no cold-start cost.
+        of the paper's evaluation databases, at an integer ``scale``
+        >= 1) or ``csv_dir`` (a directory of CSV files on the server
+        host).  Optional ``warm``: a list of SQL texts whose canonical
+        trees and shared evaluations are primed right now, so the
+        first explain against them pays no cold-start cost.
+
+        The whole body is checked, and every ``warm`` query translated
+        and evaluated against the new database, before anything
+        changes: a refused registration leaves the served database and
+        the journal as they were.  With a journal directory the
+        registration record is durable before this returns.
         """
+        for field in body:
+            if field not in _REGISTRATION_FIELDS:
+                raise ConfigurationError(
+                    f"unknown registration field {field!r}; a "
+                    f"registration takes {', '.join(_REGISTRATION_FIELDS)}"
+                )
         name = body.get("name")
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigurationError(
                 f"database name must match {_NAME_RE.pattern}, got "
                 f"{name!r}"
+            )
+        for key in ("use_case_db", "csv_dir"):
+            if not isinstance(body.get(key, ""), str):
+                raise ConfigurationError(
+                    f"{key} must be a string, got {body[key]!r}"
+                )
+        scale, warm = body.get("scale", 1), body.get("warm", [])
+        if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
+            raise ConfigurationError(
+                f"scale must be an integer >= 1, got {scale!r}"
+            )
+        if not isinstance(warm, list) or not all(
+            isinstance(sql, str) and sql.strip() for sql in warm
+        ):
+            raise ConfigurationError(
+                f"warm must be a list of non-empty SQL strings, got {warm!r}"
             )
         source = {
             key: body[key]
@@ -279,32 +319,41 @@ class ServiceState:
             if key in body
         }
         database = self._build_database(source)
+        cache = EvaluationCache()
+        engines = {}
+        for sql in dict.fromkeys(warm):  # primed off the live registry
+            canonical = sql_to_canonical(sql, database.schema)
+            engine = NedExplain(canonical, database=database, cache=cache)
+            cache.get_or_evaluate(
+                canonical.root, engine.instance, canonical.aliases
+            )
+            engines[(name, sql)] = (canonical, engine)
         with self._registry_lock:
+            if self.backend is not None:  # disk order is registry order
+                with self.backend.journal(
+                    _REGISTRATIONS, resume=True
+                ) as journal:
+                    journal.finish(
+                        {"name": name, "source": source},
+                        key="registration",
+                    )
             self._db_objects[name] = database
-            self._caches[name] = EvaluationCache()
+            self._caches[name] = cache
             # drop engines warmed against a previous registration
             self._engines = {
                 key: value
                 for key, value in self._engines.items()
                 if key[0] != name
             }
+            self._engines.update(engines)
             self._databases[name] = dict(source)
-        warmed = []
-        for sql in body.get("warm", ()):  # prime engines eagerly
-            canonical, engine = self.engine_for(name, sql)
-            engine.cache.get_or_evaluate(
-                canonical.root,
-                engine.instance,
-                canonical.aliases,
-            )
-            warmed.append(sql)
-        self._persist_registrations()
+        self.metrics.counter("service.engines.warmed").inc(len(engines))
         self.metrics.counter("service.databases.registered").inc()
         return {
             "name": name,
             "source": dict(source),
             "relations": len(database.table_names()),
-            "warmed_queries": warmed,
+            "warmed_queries": list(warm),
         }
 
     @staticmethod
@@ -325,7 +374,7 @@ class ServiceState:
                     f"unknown use-case database {use_case_db!r}; "
                     f"choose from {', '.join(DATABASES)}"
                 )
-            return builder(scale=int(source.get("scale", 1)))
+            return builder(scale=source.get("scale", 1))
         return load_database(csv_dir)
 
     def database(self, name: str) -> Database:
@@ -381,38 +430,44 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Registration persistence (storage backend only)
     # ------------------------------------------------------------------
-    _REGISTRATIONS_DOC = "databases.json"
-
-    def _persist_registrations(self) -> None:
-        if self.backend is None:
+    def _load_registrations(self, backend: StorageBackend) -> None:
+        """Replay the registrations journal; the last record for a name
+        wins.  An older directory's ``databases.json`` is converted
+        first: the journal is written atomically from it, one record
+        per name in sorted order, then it and its numbered snapshots
+        (``databases.gen-N.*``) are removed, so a crash in between
+        leaves old files the next start only removes."""
+        path = backend.path_of(_REGISTRATIONS)
+        legacy = [
+            name
+            for name in backend.io.listdir(backend.root)
+            if name.startswith("databases.") and name.endswith(".json")
+        ]
+        if legacy and not backend.io.exists(path):
+            try:
+                stored = backend.read_document("databases.json") or {}
+            except StorageError as exc:
+                raise ConfigurationError(
+                    f"persisted registrations "
+                    f"{backend.path_of('databases.json')} are corrupt: "
+                    f"{exc}; move the file aside to start fresh"
+                ) from exc
+            records = [
+                record_line("registration", {"name": name, "source": source})
+                for name, source in sorted(stored.items())
+            ]
+            atomic_write_text(path, "".join(records), io=backend.io)
+        for name in legacy:
+            backend.io.unlink(backend.path_of(name))
+        if not backend.io.exists(path):
             return
-        with self._registry_lock:
-            snapshot = {
-                name: dict(source)
-                for name, source in self._databases.items()
-            }
-        self.backend.write_document(self._REGISTRATIONS_DOC, snapshot)
-        # a checksummed generation: startup recovery repairs a corrupt
-        # primary databases.json from the newest valid one
-        self.backend.write_snapshot("databases", snapshot)
-
-    def _load_registrations(self) -> None:
-        if self.backend is None:
-            return
-        try:
-            stored = self.backend.read_document(self._REGISTRATIONS_DOC)
-        except StorageError as exc:
-            # backend.recover() already tried snapshot repair; with no
-            # valid generation left this is genuinely unrecoverable
-            raise ConfigurationError(
-                f"persisted registrations "
-                f"{self.backend.path_of(self._REGISTRATIONS_DOC)} are "
-                f"corrupt: {exc}; move the file aside to start fresh"
-            ) from exc
-        if stored is None:
-            return
-        for name, source in stored.items():
-            self.register_database({"name": name, **source})
+        sources = {
+            record["name"]: record["source"]
+            for key, record in load_records(path, backend.io)[0]
+            if key == "registration"
+        }
+        for name, source in sources.items():
+            self.register_database({**source, "name": name})
 
     # ------------------------------------------------------------------
     # Explain (single question)
@@ -637,7 +692,7 @@ class ServiceState:
         self._convert_legacy_batches()
         recovered: list[str] = []
         for name in self.backend.io.listdir(self.backend.root):
-            if not name.endswith(".journal.jsonl"):
+            if not name.endswith(".journal.jsonl") or name == _REGISTRATIONS:
                 continue
             request_id = name[: -len(".journal.jsonl")]
             try:
@@ -755,13 +810,8 @@ class ServiceState:
                 else {"kind": "none"}
             ),
         }
-        if self.storage_recovery is not None and (
-            self.storage_recovery.quarantined
-            or self.storage_recovery.repaired
-        ):
-            document["storage_recovery"] = (
-                self.storage_recovery.to_dict()
-            )
+        if getattr(self.storage_recovery, "quarantined", None):
+            document["storage_recovery"] = asdict(self.storage_recovery)
         if self._recovery_errors:
             document["recovery_errors"] = list(self._recovery_errors)
         return ready, document

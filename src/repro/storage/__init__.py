@@ -10,13 +10,13 @@ Three layers, bottom up:
   :class:`LocalIO` (the real filesystem) and :class:`MemoryIO` (an
   in-memory file table speaking the same interface);
 
-* :mod:`~repro.storage.backend` -- :class:`StorageBackend`: documents
-  (atomic durable JSON writes, including the parent-directory fsync),
-  journals (the WAL; one file per service batch), checksummed
-  generation-numbered snapshots, and a pre-ready recovery scan that
-  quarantines or repairs corrupt artifacts under ``storage.*``
-  metrics.  It runs on :class:`LocalIO` by default; ``io=MemoryIO()``
-  runs the same logic without a disk;
+* :mod:`~repro.storage.backend` -- :class:`StorageBackend`: journals
+  (the WAL; one file per service batch, and one of database
+  registrations), documents (atomic durable JSON writes, including the
+  parent-directory fsync), and a pre-ready recovery scan that
+  quarantines stranded temp files under ``storage.*`` metrics.  It
+  runs on :class:`LocalIO` by default; ``io=MemoryIO()`` runs the same
+  logic without a disk;
 
 * :mod:`~repro.storage.crashsim` -- the ALICE/CrashMonkey-style
   crash-state enumeration harness: :class:`SimIO` records an operation
@@ -28,7 +28,6 @@ Three layers, bottom up:
 from .backend import (
     QUARANTINE_KEEP,
     RecoveryReport,
-    SNAPSHOT_KEEP,
     StorageBackend,
     atomic_write_json,
     atomic_write_text,
@@ -52,7 +51,6 @@ __all__ = [
     "OpLog",
     "QUARANTINE_KEEP",
     "RecoveryReport",
-    "SNAPSHOT_KEEP",
     "SimIO",
     "StorageBackend",
     "StorageIO",

@@ -1,49 +1,45 @@
 """The storage backend: one durability story for everything.
 
-A :class:`StorageBackend` holds the service's two kinds of durable
-state -- one :class:`~repro.robustness.journal.BatchJournal` file per
-batch and the ``databases.json`` registration table -- behind four
-primitives:
+A :class:`StorageBackend` holds the service's durable state -- one
+:class:`~repro.robustness.journal.BatchJournal` file per batch and the
+``registrations.journal.jsonl`` journal of database registrations --
+behind three primitives:
 
-* **documents** -- whole JSON files written atomically (temp file +
-  fsync + rename + *parent-directory fsync*: a rename is not durable
-  until the directory entry is on disk, the bug every hand-rolled
-  helper has); only the registrations use them;
 * **journals** -- append-only WALs
   (:class:`~repro.robustness.journal.BatchJournal` routed through the
   backend's I/O shim), keeping the established torn-tail-discard /
   stop-at-first-corruption semantics; a batch's manifest, question
   records and result are one journal, made durable by one file fsync
-  and one directory fsync;
-* **snapshots** -- checksummed, generation-numbered copies of a
-  document family (``databases.gen-3.snap.json``); a corrupt primary
-  document is *repaired* from the newest valid generation instead of
-  refusing to start;
+  and one directory fsync, and each registration is one record
+  appended and synced the same way;
+* **documents** -- whole JSON files written atomically (temp file +
+  fsync + rename + *parent-directory fsync*: a rename is not durable
+  until the directory entry is on disk, the bug every hand-rolled
+  helper has); only the conversion of an older directory reads them;
 * **recovery** -- a scan that runs before the service flips ready:
-  stranded temp files and corrupt snapshots are moved into a
-  ``quarantine/`` directory (never deleted -- they are evidence), and
-  every decision is counted under ``storage.*`` metrics and wrapped
-  in a ``storage.recover`` span.
+  stranded temp files are moved into a ``quarantine/`` directory
+  (never deleted -- they are evidence), and every decision is counted
+  under ``storage.*`` metrics and wrapped in a ``storage.recover``
+  span.
 
 One class serves every use.  By default it runs on
 :class:`~repro.storage.io.LocalIO`, a directory on the real
 filesystem; tests pass ``io=MemoryIO()`` or the crash simulator's
 ``SimIO`` to run the same logic without a disk.
 
-Layout compatibility: a directory holds ``databases.json``, its
-``databases.gen-N.snap.json`` snapshots and one ``<id>.journal.jsonl``
-per batch.  Directories of the older layout, where a batch also had an
-atomic ``<id>.request.json`` manifest and ``<id>.result.json`` result,
-are converted once by the service's recovery
-(:meth:`~repro.service.state.ServiceState.recover`); nothing else
-reads those names.
+Layout compatibility: a directory holds ``registrations.journal.jsonl``
+and one ``<id>.journal.jsonl`` per batch.  Directories of the older
+layouts -- registrations in an atomic ``databases.json`` with numbered
+snapshots beside it, and a batch with an atomic ``<id>.request.json``
+manifest and ``<id>.result.json`` result -- are converted once by the
+service's startup (:class:`~repro.service.state.ServiceState`);
+nothing else reads those names.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -55,26 +51,14 @@ from .io import LocalIO, StorageIO
 __all__ = [
     "QUARANTINE_KEEP",
     "RecoveryReport",
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_KEEP",
     "StorageBackend",
     "atomic_write_text",
     "atomic_write_json",
 ]
 
-SNAPSHOT_FORMAT = "repro.storage.snapshot"
-SNAPSHOT_VERSION = 1
-
-#: Generations kept per snapshot family; older ones are pruned.
-SNAPSHOT_KEEP = 3
-
 #: Quarantined artifacts kept per backend; recovery evidence past this
 #: is pruned oldest-first (counted by ``storage.quarantine.pruned``).
 QUARANTINE_KEEP = 32
-
-_SNAPSHOT_RE = re.compile(
-    r"^(?P<family>[A-Za-z0-9_-]+)\.gen-(?P<gen>\d+)\.snap\.json$"
-)
 
 #: Suffix of in-flight atomic writes; recovery quarantines strays.
 TMP_SUFFIX = ".tmp"
@@ -120,49 +104,24 @@ def atomic_write_json(
     )
 
 
-def _snapshot_checksum(payload: Mapping[str, Any]) -> str:
-    canonical = json.dumps(
-        {k: v for k, v in payload.items() if k != "checksum"},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
+@dataclass
 class RecoveryReport:
-    """What one recovery pass found and did."""
+    """What one recovery pass found and did (``/readyz`` shows it)."""
 
-    def __init__(self):
-        self.scanned = 0
-        self.quarantined: list[str] = []
-        self.repaired: list[str] = []
-
-    def to_dict(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "quarantined": list(self.quarantined),
-            "repaired": list(self.repaired),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"RecoveryReport(scanned={self.scanned}, "
-            f"quarantined={len(self.quarantined)}, "
-            f"repaired={len(self.repaired)})"
-        )
+    scanned: int = 0
+    quarantined: list[str] = field(default_factory=list)
 
 
 class StorageBackend:
-    """One directory-shaped namespace of documents, journals, snapshots.
+    """One directory-shaped namespace of journals and documents.
 
     All I/O flows through ``self.io``, a
     :class:`~repro.storage.io.StorageIO` (``LocalIO`` unless given).
     That makes the backend fault-injectable and crash-enumerable with
     the same code on a real disk, in memory, or in the simulator.
     The root directory is created (with its parents) when missing.
-    Names are plain relative filenames (``databases.json``,
-    ``abc123.journal.jsonl``); nesting is deliberately unsupported.
+    Names are plain relative filenames (``abc123.journal.jsonl``);
+    nesting is deliberately unsupported.
     """
 
     def __init__(
@@ -204,8 +163,7 @@ class StorageBackend:
         """The parsed document, ``None`` when absent.
 
         A file that exists but does not parse raises
-        :class:`~repro.errors.StorageError` -- the caller decides
-        between snapshot repair and refusing to start.
+        :class:`~repro.errors.StorageError`.
         """
         path = self.path_of(name)
         if not self.io.exists(path):
@@ -252,77 +210,6 @@ class StorageBackend:
         return BatchJournal(
             self.path_of(name), resume=resume, io=self.io
         )
-
-    # -- snapshots -----------------------------------------------------
-    def _snapshot_name(self, family: str, generation: int) -> str:
-        return f"{family}.gen-{generation}.snap.json"
-
-    def snapshot_generations(self, family: str) -> list[int]:
-        """Existing generation numbers of *family*, ascending."""
-        generations = []
-        for name in self.io.listdir(self.root):
-            match = _SNAPSHOT_RE.match(name)
-            if match and match.group("family") == family:
-                generations.append(int(match.group("gen")))
-        return sorted(generations)
-
-    def write_snapshot(
-        self, family: str, document: Mapping[str, Any]
-    ) -> int:
-        """Write the next checksummed generation of *family*; prune old
-        generations past :data:`SNAPSHOT_KEEP`.  Returns the new
-        generation number."""
-        generations = self.snapshot_generations(family)
-        generation = (generations[-1] + 1) if generations else 1
-        payload: dict[str, Any] = {
-            "format": SNAPSHOT_FORMAT,
-            "v": SNAPSHOT_VERSION,
-            "family": family,
-            "generation": generation,
-            "document": dict(document),
-        }
-        payload["checksum"] = _snapshot_checksum(payload)
-        atomic_write_json(
-            self.path_of(self._snapshot_name(family, generation)),
-            payload,
-            io=self.io,
-        )
-        self._count("storage.snapshots.written")
-        for old in generations[: max(0, len(generations) + 1 - SNAPSHOT_KEEP)]:
-            self.io.unlink(
-                self.path_of(self._snapshot_name(family, old))
-            )
-            self._count("storage.snapshots.pruned")
-        return generation
-
-    def read_snapshot(self, family: str) -> tuple[dict, int] | None:
-        """The newest *valid* generation of *family* as
-        ``(document, generation)``; ``None`` when no generation
-        verifies.  Corrupt generations are quarantined (evidence, not
-        garbage) and never considered again."""
-        for generation in reversed(self.snapshot_generations(family)):
-            name = self._snapshot_name(family, generation)
-            try:
-                payload = json.loads(
-                    self.io.read_text(self.path_of(name))
-                )
-                valid = (
-                    isinstance(payload, dict)
-                    and payload.get("format") == SNAPSHOT_FORMAT
-                    and payload.get("family") == family
-                    and payload.get("generation") == generation
-                    and isinstance(payload.get("document"), dict)
-                    and payload.get("checksum")
-                    == _snapshot_checksum(payload)
-                )
-            except (json.JSONDecodeError, StorageError):
-                valid = False
-            if valid:
-                self._count("storage.snapshots.read")
-                return dict(payload["document"]), generation
-            self._count("storage.snapshots.corrupt")
-            self.quarantine(name)
-        return None
 
     # -- quarantine + recovery -----------------------------------------
     def quarantine(self, name: str) -> str | None:
@@ -384,67 +271,20 @@ class StorageBackend:
         ]
 
     def recover(self) -> RecoveryReport:
-        """The pre-ready recovery scan.
-
-        * stray ``*.tmp`` files (a crash between temp-write and
-          rename) are quarantined -- they are uncommitted by
-          definition and must never be resurrected;
-        * every snapshot generation is verified; corrupt ones are
-          quarantined, and a family whose primary document is corrupt
-          or missing-but-snapshotted is repaired from its newest valid
-          generation.
-        """
+        """The pre-ready recovery scan: stray ``*.tmp`` files (a crash
+        between temp-write and rename) are quarantined -- they are
+        uncommitted by definition and must never be resurrected.
+        Journals are left to the service's recovery."""
         report = RecoveryReport()
         with span("storage.recover", category="storage"):
-            names = list(self.io.listdir(self.root))
-            families: set[str] = set()
-            for name in names:
+            for name in self.io.listdir(self.root):
                 if name == "quarantine":
                     continue
                 report.scanned += 1
-                if name.endswith(TMP_SUFFIX):
-                    quarantined = self.quarantine(name)
-                    if quarantined is not None:
-                        report.quarantined.append(name)
-                    continue
-                match = _SNAPSHOT_RE.match(name)
-                if match:
-                    families.add(match.group("family"))
-            for family in sorted(families):
-                self._repair_family(family, report)
+                if name.endswith(TMP_SUFFIX) and self.quarantine(name):
+                    report.quarantined.append(name)
             self._count("storage.recovery.runs")
         return report
-
-    def _repair_family(
-        self, family: str, report: RecoveryReport
-    ) -> None:
-        """Verify snapshots of *family*; repair its primary document
-        (``<family>.json``) from the newest valid generation when the
-        primary is corrupt or missing."""
-        primary = f"{family}.json"
-        try:
-            document = self.read_document(primary)
-            needs_repair = document is None
-        except StorageError:
-            needs_repair = True
-            quarantined = self.quarantine(primary)
-            if quarantined is not None:
-                report.quarantined.append(primary)
-        before = set(self.io.listdir(self._quarantine_dir())) if (
-            self.io.exists(self._quarantine_dir())
-        ) else set()
-        snapshot = self.read_snapshot(family)
-        after = set(self.io.listdir(self._quarantine_dir())) if (
-            self.io.exists(self._quarantine_dir())
-        ) else set()
-        report.quarantined.extend(sorted(after - before))
-        if needs_repair and snapshot is not None:
-            restored, generation = snapshot
-            self.write_document(primary, restored)
-            self._count("storage.recovery.repaired")
-            report.repaired.append(
-                f"{primary} <- gen-{generation}"
-            )
 
     # -- introspection -------------------------------------------------
     def describe(self) -> dict:

@@ -1,7 +1,7 @@
 """The fault-injectable I/O shim under every storage backend.
 
-Every byte the storage subsystem persists -- batch journals, the
-registration document and its snapshots -- flows through a
+Every byte the storage subsystem persists -- batch journals and the
+registrations journal -- flows through a
 :class:`StorageIO`, never through bare ``open``/``os.replace``.  That
 single chokepoint buys two things:
 
@@ -124,57 +124,18 @@ def fsync_lost() -> bool:
 class StorageIO:
     """The primitive surface a storage backend writes through.
 
-    Handles returned by :meth:`open` are opaque; all mutation goes
-    through the shim (``io.write(handle, text)``) so a fault plan --
-    or the crash simulator's op log -- sees every byte.
+    Handles: ``open(path, mode)`` (``"r"``, ``"w"`` or ``"a"``),
+    ``write(handle, text)``, ``flush``, ``fsync``, ``close``,
+    ``closed``.  Whole files: ``read_text``, ``exists``, ``is_dir``,
+    ``listdir``, ``mkdir``, ``unlink``, ``replace(src, dst)`` and
+    ``fsync_dir``.  :class:`LocalIO` and :class:`MemoryIO` implement
+    all of them.  Handles are opaque; all mutation goes through the
+    shim (``io.write(handle, text)``) so a fault plan -- or the crash
+    simulator's op log -- sees every byte.
     """
 
     #: short name of the medium, reported on ``/readyz``
     kind = "abstract"
-
-    # -- handles -------------------------------------------------------
-    def open(self, path: Path, mode: str):
-        raise NotImplementedError
-
-    def write(self, handle, text: str) -> None:
-        raise NotImplementedError
-
-    def flush(self, handle) -> None:
-        raise NotImplementedError
-
-    def fsync(self, handle) -> None:
-        raise NotImplementedError
-
-    def close(self, handle) -> None:
-        raise NotImplementedError
-
-    def closed(self, handle) -> bool:
-        raise NotImplementedError
-
-    # -- whole files ---------------------------------------------------
-    def read_text(self, path: Path) -> str:
-        raise NotImplementedError
-
-    def exists(self, path: Path) -> bool:
-        raise NotImplementedError
-
-    def is_dir(self, path: Path) -> bool:
-        raise NotImplementedError
-
-    def listdir(self, path: Path) -> list[str]:
-        raise NotImplementedError
-
-    def mkdir(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def unlink(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def replace(self, src: Path, dst: Path) -> None:
-        raise NotImplementedError
-
-    def fsync_dir(self, path: Path) -> None:
-        raise NotImplementedError
 
     # -- conveniences shared by the implementations --------------------
     def write_text(self, path: Path, text: str, durable: bool = True):

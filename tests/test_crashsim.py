@@ -536,3 +536,53 @@ class TestServiceBatchCrashStates:
                 for field in ("questions", "request_id", "workers"):
                     assert document[field] == clean[field]
         assert all(paths.values()), paths
+
+
+def _record_registration():
+    """One ``ServiceState.register_database`` on the simulator, after an
+    earlier registration has synced.
+
+    Returns ``(sim, start, synced, clean)``: the op log, the index of
+    the registration's first op, the prefix at which it returns (after
+    both syncs), and the databases a clean start then serves."""
+    sim = SimIO()
+    sim.mkdir(Path("/memory"))
+    state = _service_state(sim)
+    state.register_database({"name": "crime", "use_case_db": "crime"})
+    start = len(sim.log)
+    state.register_database({"name": "gov", "use_case_db": "gov"})
+    return sim, start, len(sim.log), state.databases_document()
+
+
+class TestServiceRegistrationCrashStates:
+    def test_every_crash_state_serves_whole_registrations(self):
+        """For every crash prefix of a registration and every legal
+        state: startup succeeds, the earlier registration is served,
+        the new one is served once its syncs ran, and never in part;
+        a registration made after the crash survives the next start."""
+        sim, start, synced, clean = _record_registration()
+        csim = CrashSim(sim.log)
+        seen: set[tuple] = set()
+        served = {True: 0, False: 0}
+        for prefix in range(start, len(sim.log) + 1):
+            for files in csim.states_at(prefix):
+                key = (prefix >= synced, tuple(sorted(files.items())))
+                if key in seen:
+                    continue
+                seen.add(key)
+                io = materialize(files, Path("/memory"))
+                databases = _service_state(io).databases_document()
+                assert databases["crime"] == clean["crime"]
+                assert "gov" in databases or prefix < synced, (
+                    prefix,
+                    files,
+                )
+                if "gov" in databases:
+                    assert databases["gov"] == clean["gov"]
+                served["gov" in databases] += 1
+                # a torn tail is cut before the next append lands
+                _service_state(io).register_database(
+                    {"name": "later", "use_case_db": "crime"}
+                )
+                assert "later" in _service_state(io).databases_document()
+        assert all(served.values()), served

@@ -42,6 +42,7 @@ from repro.errors import (
     JournalError,
     LoadShedError,
     ServiceError,
+    SqlSyntaxError,
 )
 from repro.obs import ManualClock, use_clock
 from repro.robustness import BatchJournal, Budget, FaultPlan, inject
@@ -52,7 +53,7 @@ from repro.service import (
     serve,
 )
 from repro.service.client import ServiceClient
-from repro.storage import MemoryIO, StorageBackend
+from repro.storage import MemoryIO, SimIO, StorageBackend
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -246,8 +247,6 @@ class TestServiceState:
         """An 8-question batch creates one file and makes it durable
         with one file fsync and one directory fsync, after its result
         record is written."""
-        from repro.storage import SimIO
-
         sim = SimIO()
         state = _memory_state(sim)
         state.ready.set()
@@ -297,7 +296,7 @@ class TestServiceState:
         )
 
         # a fresh state (the restarted process) sees the registration
-        # (persisted databases.json) and finishes the batch
+        # (replayed from its journal) and finishes the batch
         fresh = self._state(tmp_path)
         recovered = fresh.recover()
         assert recovered == ["crashed"]
@@ -352,6 +351,165 @@ class TestServiceState:
             )
         with pytest.raises(ConfigurationError):
             state.batch_result("../escape")
+
+
+# ---------------------------------------------------------------------------
+# registrations: validated whole, one synced record each, replayed
+# ---------------------------------------------------------------------------
+REGISTRATIONS = "registrations.journal.jsonl"
+
+
+def _restarted(sim) -> tuple[ServiceState, SimIO]:
+    """A fresh state started over a copy of *sim*'s files, on a new
+    simulator whose op log shows what the start wrote."""
+    again = SimIO()
+    again.files = dict(sim.files)
+    again.dirs = set(sim.dirs)
+    return _memory_state(again), again
+
+
+class TestRegistrations:
+    def test_refused_reregistration_leaves_the_served_database(self):
+        """A re-registration whose warm query does not translate is a
+        400 that changes nothing, in memory or after a restart."""
+        io = MemoryIO()
+        state = _memory_state(io)
+        state.register_database({"name": "db", "use_case_db": "crime"})
+        with pytest.raises(SqlSyntaxError):  # a 400
+            state.register_database(
+                {
+                    "name": "db",
+                    "use_case_db": "gov",
+                    "warm": ["SELECT nope FROM Nowhere"],
+                }
+            )
+        crime = {"source": {"use_case_db": "crime"}, "relations": 4}
+        assert state.databases_document() == {"db": crime}
+        assert _memory_state(io).databases_document() == {"db": crime}
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"scale": "x"},
+            {"scale": 0},
+            {"scale": -3},
+            {"scale": 2.7},
+            {"scale": True},
+            {"warm": SQL},
+            {"warm": [""]},
+            {"warm": [5]},
+            {"shed_after": 1},
+            {"use_case_db": ["crime"]},
+        ],
+        ids=[
+            "scale-word", "scale-zero", "scale-negative", "scale-float",
+            "scale-bool", "warm-string", "warm-empty", "warm-number",
+            "unknown-field", "source-list",
+        ],
+    )
+    def test_bad_registration_is_400_and_leaves_nothing(self, extra):
+        sim = SimIO()
+        state = _memory_state(sim)
+        with pytest.raises(ConfigurationError) as excinfo:  # a 400
+            state.register_database({**REGISTER, **extra})
+        assert next(iter(extra)) in str(excinfo.value)
+        assert state.databases_document() == {}
+        assert len(sim.log) == 0
+
+    def test_registration_is_one_synced_record(self):
+        """One registration appends one record, then syncs the file and
+        its directory once each, before it returns."""
+        sim = SimIO()
+        state = _memory_state(sim)
+        state.register_database(REGISTER)
+        start = len(sim.log)
+        state.register_database({**REGISTER, "scale": 2, "warm": [SQL]})
+        ops = sim.log[start:]
+        assert [op.kind for op in ops] == ["append", "fsync", "fsync_dir"]
+        assert json.loads(ops[0].data) == {
+            "registration": {
+                "name": "crime",
+                "source": {"use_case_db": "crime", "scale": 2},
+            }
+        }
+        assert {op.path for op in ops[:2]} == {
+            str(state.backend.path_of(REGISTRATIONS))
+        }
+
+    def test_restart_replays_and_writes_nothing(self):
+        """A start with K registrations serves the last record of each
+        name and leaves the journal byte-identical, with no write,
+        rename or fsync."""
+        sim = SimIO()
+        state = _memory_state(sim)
+        state.register_database(REGISTER)
+        state.register_database({"name": "gov", "use_case_db": "gov"})
+        state.register_database({**REGISTER, "scale": 2})
+        path = str(state.backend.path_of(REGISTRATIONS))
+        before = sim.files[path]
+        restarted, again = _restarted(sim)
+        assert again.log.ops == []
+        assert again.files[path] == before
+        assert restarted.databases_document() == (
+            state.databases_document()
+        )
+        assert restarted.databases_document()["crime"]["source"] == {
+            "use_case_db": "crime",
+            "scale": 2,
+        }
+
+    def test_concurrent_registrations_both_survive_restart(self):
+        io = MemoryIO()
+        state = _memory_state(io)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def register(name, use_case_db):
+            barrier.wait()
+            try:
+                state.register_database(
+                    {"name": name, "use_case_db": use_case_db}
+                )
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=register, args=("one", "crime")),
+            threading.Thread(target=register, args=("two", "gov")),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert sorted(_memory_state(io).databases_document()) == [
+            "one",
+            "two",
+        ]
+
+    def test_deadline_header_is_not_a_registration_field(self):
+        """``X-Deadline-Ms`` bounds explain requests; a registration
+        sent with it is not refused for a ``budget`` it never sent."""
+        with _live_server() as (_httpd, client):
+            response = client.request(
+                "POST",
+                "/v1/databases",
+                body=REGISTER,
+                headers={"X-Deadline-Ms": "500"},
+            )
+        assert response.status == 200, response.body
+
+    def test_registrations_journal_is_not_a_batch(self):
+        state = _memory_state()
+        state.register_database(REGISTER)
+        assert state.recover() == []
+        assert state.backend.io.exists(
+            state.backend.path_of(REGISTRATIONS)
+        )
+        with pytest.raises(ConfigurationError, match="request_id"):
+            state.explain_batch(_batch_body(request_id="registrations"))
+        with pytest.raises(ConfigurationError, match="request_id"):
+            state.batch_result("registrations")
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +991,8 @@ class TestServiceKillResume:
             server.kill_wait()
         server = _ServerProcess(journal_dir)
         try:
-            # no re-registration: the persisted databases.json was
-            # reloaded, so explains work immediately after restart
+            # no re-registration: the registrations journal was
+            # replayed, so explains work immediately after restart
             assert server.client.explain(_explain_body()).status == 200
         finally:
             server.kill_wait()
@@ -985,12 +1143,18 @@ class TestLegacyJournalDirectory:
         state, recovered = self._restart(journal_dir)
         assert recovered == ["unfinished"]
         assert state.ready_document()[1].get("recovery_errors") is None
-        # one file per batch, and no file of the old layout is left
-        names = sorted(p.name for p in journal_dir.iterdir())
-        assert [n for n in names if not n.startswith("databases.")] == [
+        # one file per batch, databases.json and its snapshot became
+        # the registrations journal, and no file of the old layout is
+        # left
+        assert sorted(p.name for p in journal_dir.iterdir()) == [
             "finished.journal.jsonl",
+            REGISTRATIONS,
             "unfinished.journal.jsonl",
         ]
+        assert (journal_dir / REGISTRATIONS).read_text() == (
+            '{"registration":{"name":"crime","source":'
+            '{"use_case_db":"crime"}}}\n'
+        )
         # the finished batch is served unchanged
         assert state.batch_result("finished") == legacy_result
         again, fresh = state.explain_batch(manifests["finished"])
@@ -1020,16 +1184,37 @@ class TestLegacyJournalDirectory:
         journal_dir = tmp_path / "journal"
         shutil.copytree(LEGACY_DIR, journal_dir)
         self._restart(journal_dir)
-        converted = (journal_dir / "finished.journal.jsonl").read_text()
-        for name in ("finished.request.json", "finished.result.json"):
+        converted = {
+            name: (journal_dir / name).read_text()
+            for name in ("finished.journal.jsonl", REGISTRATIONS)
+        }
+        for name in (
+            "finished.request.json",
+            "finished.result.json",
+            "databases.json",
+            "databases.gen-1.snap.json",
+        ):
             shutil.copy(LEGACY_DIR / name, journal_dir / name)
         state, recovered = self._restart(journal_dir)
         assert recovered == []
-        assert (journal_dir / "finished.journal.jsonl").read_text() == (
-            converted
-        )
-        assert not list(journal_dir.glob("*.request.json"))
-        assert not list(journal_dir.glob("*.result.json"))
+        for name, text in converted.items():
+            assert (journal_dir / name).read_text() == text
+        assert sorted(p.name for p in journal_dir.iterdir()) == [
+            "finished.journal.jsonl",
+            REGISTRATIONS,
+            "unfinished.journal.jsonl",
+        ]
+        assert state.databases_document()["crime"]["source"] == {
+            "use_case_db": "crime"
+        }
+
+    def test_unparsable_databases_json_refuses_startup(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        shutil.copytree(LEGACY_DIR, journal_dir)
+        (journal_dir / "databases.json").write_text('{"crime": {"use')
+        with pytest.raises(ConfigurationError, match="move the file"):
+            ServiceState(ServiceConfig(journal_dir=journal_dir))
+        assert not (journal_dir / REGISTRATIONS).exists()
 
 
 # ---------------------------------------------------------------------------

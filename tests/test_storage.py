@@ -7,8 +7,7 @@ Three layers under test:
   ``io.*`` fault sites make either misbehave deterministically
   (partial writes land, renames tear, reads fail);
 * the :class:`~repro.storage.backend.StorageBackend`, over both disks
-  -- atomic durable documents, checksummed generation-numbered snapshots,
-  quarantine-not-delete recovery;
+  -- atomic durable documents, quarantine-not-delete recovery;
 * the integration with :class:`~repro.robustness.journal.BatchJournal`
   (ENOSPC mid-append, unreadable files, read-only directories) and
   with the service's registration persistence.
@@ -32,7 +31,6 @@ from repro.storage import (
     atomic_write_json,
     atomic_write_text,
 )
-from repro.storage.backend import SNAPSHOT_KEEP
 
 
 def _spec(site: str, at_call: int = 0) -> FaultPlan:
@@ -136,7 +134,7 @@ class TestMemoryIO:
 
 
 # ---------------------------------------------------------------------------
-# Backend documents + snapshots
+# Backend documents
 # ---------------------------------------------------------------------------
 @pytest.fixture(params=["local", "memory"])
 def backend(request, tmp_path):
@@ -163,48 +161,6 @@ class TestDocuments:
             backend.path_of(".hidden.json")
 
 
-class TestSnapshots:
-    def test_generations_advance_and_prune(self, backend):
-        for i in range(SNAPSHOT_KEEP + 2):
-            generation = backend.write_snapshot("fam", {"i": i})
-            assert generation == i + 1
-        generations = backend.snapshot_generations("fam")
-        assert len(generations) == SNAPSHOT_KEEP
-        assert generations[-1] == SNAPSHOT_KEEP + 2
-        document, generation = backend.read_snapshot("fam")
-        assert document == {"i": SNAPSHOT_KEEP + 1}
-        assert generation == SNAPSHOT_KEEP + 2
-
-    def test_corrupt_newest_falls_back_to_older(self, backend):
-        backend.write_snapshot("fam", {"good": 1})
-        backend.write_snapshot("fam", {"good": 2})
-        # flip a byte in the newest generation's checksummed payload
-        name = "fam.gen-2.snap.json"
-        payload = json.loads(backend.io.read_text(backend.path_of(name)))
-        payload["document"] = {"tampered": True}
-        backend.io.write_text(
-            backend.path_of(name), json.dumps(payload)
-        )
-        document, generation = backend.read_snapshot("fam")
-        assert (document, generation) == ({"good": 1}, 1)
-        # the corrupt generation was quarantined, not deleted
-        qdir = backend.root / "quarantine"
-        assert name in backend.io.listdir(qdir)
-
-    def test_unreadable_snapshot_is_skipped(self, tmp_path):
-        backend = StorageBackend(tmp_path)
-        backend.write_snapshot("fam", {"v": 1})
-        backend.write_snapshot("fam", {"v": 2})
-        # io.eio call 0 is the directory listing; call 1 is the read
-        # of the newest generation -- the older one still verifies
-        with inject(_spec("io.eio", at_call=1)):
-            document, generation = backend.read_snapshot("fam")
-        assert (document, generation) == ({"v": 1}, 1)
-
-    def test_no_valid_generation_returns_none(self, backend):
-        assert backend.read_snapshot("never") is None
-
-
 class TestRecovery:
     def test_stray_tmp_files_are_quarantined(self, backend):
         backend.write_document("doc.json", {"k": 1})
@@ -216,25 +172,6 @@ class TestRecovery:
         assert not backend.io.exists(backend.path_of("doc.json.tmp"))
         # the committed document is untouched
         assert backend.read_document("doc.json") == {"k": 1}
-
-    def test_corrupt_primary_is_repaired_from_snapshot(self, backend):
-        backend.write_document("databases.json", {"db": {"scale": 1}})
-        backend.write_snapshot("databases", {"db": {"scale": 1}})
-        backend.io.write_text(
-            backend.path_of("databases.json"), "{torn"
-        )
-        report = backend.recover()
-        assert any("databases.json" in r for r in report.repaired)
-        assert backend.read_document("databases.json") == {
-            "db": {"scale": 1}
-        }
-        # the torn original is evidence in quarantine
-        assert "databases.json" in report.quarantined
-
-    def test_missing_primary_is_restored_from_snapshot(self, backend):
-        backend.write_snapshot("databases", {"db": {}})
-        backend.recover()
-        assert backend.read_document("databases.json") == {"db": {}}
 
     def test_corrupt_manifests_are_left_for_service_recovery(
         self, backend
@@ -248,12 +185,12 @@ class TestRecovery:
         assert backend.io.exists(backend.path_of("bad.journal.jsonl"))
 
     def test_recovery_is_idempotent(self, backend):
-        backend.write_document("databases.json", {"db": {}})
-        backend.write_snapshot("databases", {"db": {}})
+        backend.write_document("doc.json", {"k": 1})
+        backend.io.write_text(backend.path_of("doc.json.tmp"), "half")
         first = backend.recover()
         second = backend.recover()
+        assert first.quarantined == ["doc.json.tmp"]
         assert second.quarantined == []
-        assert second.repaired == []
         assert first.scanned >= second.scanned
 
 
