@@ -1,6 +1,6 @@
 """Batched why-not answering vs N independent runs.
 
-The batch API (:meth:`NedExplain.explain_many` over a shared
+The batch API (:meth:`NedExplain.explain_each` over a shared
 :class:`EvaluationCache`) evaluates the query once and reuses the
 Input/Output columns for every question; the per-question compatible
 sets and blocked computations are all that remains.  This benchmark
@@ -46,17 +46,9 @@ def build_workload(relations: int, rows: int):
     return database, canonical, predicates
 
 
-def run_batched(database, canonical, predicates):
-    cache = EvaluationCache()
-    engine = NedExplain(canonical, database=database, cache=cache)
-    started = time.perf_counter()
-    reports = engine.explain_many(predicates)
-    elapsed = time.perf_counter() - started
-    return reports, cache, elapsed
-
-
-def run_parallel(database, canonical, predicates, workers: int):
-    """The same batch through the supervised parallel executor."""
+def run_batched(database, canonical, predicates, workers: int = 1):
+    """One batch on a fresh cache; ``workers > 1`` runs it through the
+    parallel executor."""
     cache = EvaluationCache()
     engine = NedExplain(canonical, database=database, cache=cache)
     started = time.perf_counter()
@@ -113,7 +105,7 @@ def run_comparison(
     parallel_time = None
     if workers > 1:
         # parallel sanity: same answers, still one shared evaluation
-        parallel, pcache, parallel_time = run_parallel(
+        parallel, pcache, parallel_time = run_batched(
             database, canonical, predicates, workers
         )
         assert pcache.stats.evaluations == 1, (

@@ -45,13 +45,11 @@ from .core import (
     UnionSpec,
     canonical_from_tree,
     canonicalize,
-    nedexplain,
     parse_predicate,
     why_not,
 )
 from .core.repairs import suggest_repairs, verify_repair
 from .errors import (
-    BatchError,
     BudgetExceededError,
     ConfigurationError,
     ReproError,
@@ -90,7 +88,6 @@ from .relational import (
     attr_attr_cmp,
     attr_cmp,
     evaluate_query,
-    get_default_cache,
     query_fingerprint,
 )
 from .relational.csv_io import load_database, save_database
@@ -113,78 +110,10 @@ def explain_sql(
     return engine.explain(why_not_question)
 
 
-def explain_batch(
-    database: Database,
-    sql: str,
-    why_not_questions,
-    config: NedExplainConfig | None = None,
-    cache: EvaluationCache | None = None,
-    budget: Budget | None = None,
-) -> tuple[NedExplainReport, ...]:
-    """Answer many why-not questions over one SQL query, batched.
-
-    The query is evaluated once (through *cache*, defaulting to the
-    process-wide shared cache); each question only recomputes its own
-    compatible sets and TabQ columns.  Returns one report per question,
-    in order.
-
-    The batch is fault-isolating: when any question fails, a
-    :class:`~repro.errors.BatchError` is raised whose ``outcomes``
-    attribute still holds one result per question (answered questions
-    are never lost).  Use :func:`explain_outcomes` to get the
-    per-question outcomes without the exception.
-
-    >>> reports = explain_batch(db, "SELECT ...",
-    ...                         ["(A.name: Homer)", "(A.name: Vergil)"])
-    """
-    canonical = sql_to_canonical(sql, database.schema)
-    engine = NedExplain(
-        canonical, database=database, config=config, cache=cache
-    )
-    return engine.explain_many(why_not_questions, budget=budget)
-
-
-def explain_outcomes(
-    database: Database,
-    sql: str,
-    why_not_questions,
-    config: NedExplainConfig | None = None,
-    cache: EvaluationCache | None = None,
-    budget: Budget | None = None,
-    fallback_baseline: bool = False,
-    journal: BatchJournal | None = None,
-    workers: int = 1,
-    cancel: CancellationToken | None = None,
-):
-    """Fault-isolating variant of :func:`explain_batch`.
-
-    Always returns one :class:`~repro.robustness.QuestionOutcome` per
-    question -- a report, or a structured failure (error class, phase,
-    budget spent) when that question failed.  Never raises for a
-    per-question failure.  The *fallback_baseline* and *journal*
-    knobs and the worker-pool knobs (*workers*, *cancel*) are
-    forwarded to
-    :meth:`~repro.core.nedexplain.NedExplain.explain_each`.
-    """
-    canonical = sql_to_canonical(sql, database.schema)
-    engine = NedExplain(
-        canonical, database=database, config=config, cache=cache
-    )
-    return engine.explain_each(
-        why_not_questions,
-        budget=budget,
-        fallback_baseline=fallback_baseline,
-        journal=journal,
-        workers=workers,
-        cancel=cancel,
-    )
-
-
 __version__ = "1.0.0"
 
 __all__ = [
     "AggregateCall",
-    "BatchError",
     "BatchJournal",
     "Budget",
     "BudgetExceededError",
@@ -225,12 +154,8 @@ __all__ = [
     "current_tracer",
     "evaluate_query",
     "execution_context",
-    "explain_batch",
-    "explain_outcomes",
     "explain_sql",
-    "get_default_cache",
     "load_database",
-    "nedexplain",
     "obs",
     "parse_predicate",
     "query_fingerprint",

@@ -19,7 +19,7 @@ from .unpicked import (
     attribute_constraints,
     find_unpicked_items,
 )
-from .whynot import WhyNotBaseline, WhyNotBaselineReport, whynot
+from .whynot import WhyNotBaseline, WhyNotBaselineReport
 
 __all__ = [
     "AttributeConstraint",
@@ -33,5 +33,4 @@ __all__ = [
     "path_to_root",
     "trace_item",
     "trace_item_top_down",
-    "whynot",
 ]

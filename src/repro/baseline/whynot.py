@@ -38,7 +38,7 @@ from ..robustness.budget import (
 )
 from ..relational.algebra import Aggregate, Difference, Query
 from ..relational.database import Database
-from ..relational.evalcache import EvaluationCache, get_default_cache
+from ..relational.evalcache import EvaluationCache
 from ..relational.evaluator import EvaluationResult, evaluate
 from ..relational.instance import DatabaseInstance
 from ..core.canonical import CanonicalQuery
@@ -99,7 +99,12 @@ class WhyNotBaseline:
     """Bottom-up Why-Not over the same canonical trees as NedExplain.
 
     Parameters mirror :class:`~repro.core.nedexplain.NedExplain` so the
-    benchmark harness can swap algorithms freely.
+    benchmark harness can swap algorithms freely.  *cache* is the
+    :class:`~repro.relational.evalcache.EvaluationCache` the query is
+    evaluated through; pass the engine's ``cache`` to reuse its
+    evaluation, or leave it out for a private cache.
+    ``use_cache=False`` evaluates from scratch on every explain call
+    (the uncached run of the baseline fallback rung).
     """
 
     def __init__(
@@ -127,11 +132,10 @@ class WhyNotBaseline:
         else:
             assert instance is not None
             self.instance = instance
-        #: evaluation cache shared with NedExplain (None = evaluate
-        #: from scratch on every explain call, the pre-cache behaviour)
+        #: None = evaluate from scratch on every explain call
         self.cache: EvaluationCache | None = None
         if use_cache:
-            self.cache = cache if cache is not None else get_default_cache()
+            self.cache = cache if cache is not None else EvaluationCache()
         self._check_supported()
 
     def _check_supported(self) -> None:
@@ -239,15 +243,3 @@ class WhyNotBaseline:
                 seen.add(id(trace.blamed))
                 answers.append(trace.blamed)
         return tuple(answers), tuple(sorted(survived_constraints))
-
-
-def whynot(
-    canonical: CanonicalQuery,
-    predicate: Predicate | CTuple | str,
-    database: Database | None = None,
-    instance: DatabaseInstance | None = None,
-) -> WhyNotBaselineReport:
-    """One-shot API mirroring :func:`repro.core.nedexplain.nedexplain`."""
-    return WhyNotBaseline(
-        canonical, database=database, instance=instance
-    ).explain(predicate)

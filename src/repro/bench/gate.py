@@ -324,7 +324,6 @@ def _whynot_specs() -> list[BenchmarkSpec]:
 def _batch_specs() -> list[BenchmarkSpec]:
     """The bench_batch workload: one shared evaluation, N questions."""
     from ..core import NedExplain, canonicalize
-    from ..relational import EvaluationCache
     from ..workloads import chain_database, chain_predicate, chain_query
 
     relations, rows = 3, 60
@@ -337,11 +336,10 @@ def _batch_specs() -> list[BenchmarkSpec]:
     predicates.append(f"(R{relations - 1}.label: r{relations - 1}v0)")
 
     def build() -> Callable[[], object]:
-        cache = EvaluationCache()
-        engine = NedExplain(
-            canonical, database=database, cache=cache
-        )
-        return lambda: engine.explain_many(predicates)
+        engine = NedExplain(canonical, database=database)
+        return lambda: [
+            outcome.unwrap() for outcome in engine.explain_each(predicates)
+        ]
 
     return [
         BenchmarkSpec(
@@ -355,16 +353,12 @@ def _scaling_specs() -> list[BenchmarkSpec]:
     from ..core import NedExplain, canonicalize
     from ..workloads import chain_database, chain_predicate, chain_query
 
-    from ..relational import EvaluationCache
-
     depth, rows = 5, 120
     database = chain_database(depth, rows_per_relation=rows)
     canonical = canonicalize(chain_query(depth), database.schema)
 
     def build() -> Callable[[], object]:
-        engine = NedExplain(
-            canonical, database=database, cache=EvaluationCache()
-        )
+        engine = NedExplain(canonical, database=database)
         return lambda: engine.explain(chain_predicate())
 
     return [
@@ -385,7 +379,6 @@ def _columnar_specs() -> list[BenchmarkSpec]:
     """
     from ..columnar import evaluate_columnar
     from ..core import NedExplain, NedExplainConfig, canonicalize
-    from ..relational import EvaluationCache
     from ..relational.evaluator import evaluate
     from ..workloads import (
         scaling_join_database,
@@ -428,7 +421,6 @@ def _columnar_specs() -> list[BenchmarkSpec]:
         engine = NedExplain(
             gov_canonical,
             database=gov_db,
-            cache=EvaluationCache(),
             config=NedExplainConfig(use_columnar=True),
         )
         return lambda: engine.explain(gov_case.predicate)

@@ -245,22 +245,14 @@ def use_case_factory(
     )
 
     def build() -> Callable[[], object]:
+        # a fresh engine owns a fresh cache: every sample measures the
+        # cold path, whatever earlier runs in the process evaluated
         if algorithm == "ned":
-            # a private cache per run: every sample measures the cold
-            # path and the counter run cannot be perturbed by whatever
-            # the process-global default cache happens to hold
             runner = NedExplain(
-                canonical,
-                database=database,
-                cache=EvaluationCache(),
-                config=config,
+                canonical, database=database, config=config
             )
         else:
-            runner = WhyNotBaseline(
-                canonical,
-                database=database,
-                cache=EvaluationCache(),
-            )
+            runner = WhyNotBaseline(canonical, database=database)
         return lambda: runner.explain(use_case.predicate)
 
     return build

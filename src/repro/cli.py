@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--batch",
         action="store_true",
-        help="answer all --why-not questions through explain_many "
+        help="answer all --why-not questions through explain_each "
         "(one shared query evaluation) and report cache statistics",
     )
     explain.add_argument(
@@ -586,7 +586,9 @@ def _run_explain(args, writer: OutputWriter) -> int:
     if args.baseline:
         writer.line()
         try:
-            baseline = WhyNotBaseline(canonical, database=database)
+            baseline = WhyNotBaseline(
+                canonical, database=database, cache=engine.cache
+            )
             summary = baseline.explain(questions[0]).summary()
             writer.set("baseline", summary)
             writer.line("Why-Not baseline:")
@@ -609,20 +611,15 @@ def _run_explain_batch(
     no answer (the baseline failed on it too), and 5 when a
     SIGINT/SIGTERM triggered a graceful drain (precedence 5 > 4 > 3).
     """
-    from .relational import EvaluationCache
-
     journal = None
     if args.journal:
         journal = BatchJournal(args.journal, resume=args.resume)
         writer.set("journal", str(journal.path))
 
-    cache = EvaluationCache()
     engine = NedExplain(
-        canonical,
-        database=database,
-        cache=cache,
-        config=_config_from(args),
+        canonical, database=database, config=_config_from(args)
     )
+    cache = engine.cache
 
     # Graceful drain: the first SIGINT/SIGTERM cancels the batch's
     # admission (in-flight questions finish and are journaled); a

@@ -25,7 +25,6 @@ from .answers import (
     DetailedEntry,
     NedExplainReport,
     WhyNotAnswer,
-    merge_reports,
 )
 from .canonical import (
     CanonicalQuery,
@@ -42,7 +41,7 @@ from .compatibility import (
     CompatibleFinder,
     tuple_matches_ctuple,
 )
-from .nedexplain import PHASES, NedExplain, NedExplainConfig, nedexplain
+from .nedexplain import PHASES, NedExplain, NedExplainConfig
 from .pickyness import (
     is_picky_manipulation,
     is_picky_query,
@@ -90,8 +89,6 @@ __all__ = [
     "is_picky_manipulation",
     "is_picky_query",
     "is_successor_wrt_query",
-    "merge_reports",
-    "nedexplain",
     "parse_predicate",
     "picky_subqueries",
     "trace_path",

@@ -14,7 +14,7 @@ Three granularities are produced per c-tuple:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..relational.algebra import Query
 from .whynot_question import CTuple
@@ -241,22 +241,3 @@ class NedExplainReport:
             reason = self.degraded_reason or "execution budget exhausted"
             lines.append(f"PARTIAL RESULT: {reason}")
         return "\n".join(lines)
-
-
-def merge_reports(reports: Iterable[NedExplainReport]) -> NedExplainReport:
-    """Merge several reports (e.g. one per predicate disjunct)."""
-    answers: list[WhyNotAnswer] = []
-    phases: dict[str, float] = {}
-    partial = False
-    degraded_reason: str | None = None
-    for report in reports:
-        answers.extend(report.answers)
-        for phase, value in report.phase_times_ms.items():
-            phases[phase] = phases.get(phase, 0.0) + value
-        if report.partial:
-            partial = True
-            degraded_reason = degraded_reason or report.degraded_reason
-    return NedExplainReport(
-        tuple(answers), phases, partial=partial,
-        degraded_reason=degraded_reason,
-    )

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..errors import (
-    BatchError,
     BudgetExceededError,
     CancelledError,
     ConfigurationError,
@@ -43,7 +42,7 @@ from ..errors import (
 )
 from ..relational.algebra import Aggregate, Query, query_fingerprint
 from ..relational.database import Database
-from ..relational.evalcache import EvaluationCache, get_default_cache
+from ..relational.evalcache import EvaluationCache
 from ..relational.evaluator import EvaluationResult
 from ..obs.clock import perf_counter
 from ..obs.trace import current_tracer
@@ -166,8 +165,10 @@ class NedExplain:
         input instance.
     cache:
         The :class:`~repro.relational.evalcache.EvaluationCache` the
-        shared bottom-up evaluation is served from; defaults to the
-        process-wide cache.  Only consulted when
+        shared bottom-up evaluation is served from; without one the
+        engine owns a private cache.  Pass one cache to several engines
+        (or to a :class:`~repro.baseline.whynot.WhyNotBaseline`) to
+        share evaluations between them.  Only consulted when
         ``config.use_shared_evaluation`` is on.
     """
 
@@ -200,7 +201,7 @@ class NedExplain:
             assert instance is not None
             self.instance = instance
         self.finder = CompatibleFinder(self.instance)
-        self.cache = cache if cache is not None else get_default_cache()
+        self.cache = cache if cache is not None else EvaluationCache()
         # Facts fixed by the canonical tree, computed once and shared
         # read-only by every question and worker thread: TabQ's order,
         # levels, parents and aggregation checks, and the structural
@@ -330,9 +331,14 @@ class NedExplain:
                 answer, tabq = self._explain_ctuple(unrenamed)
                 if tabq is not None:
                     root_entry = tabq.entry(self.canonical.root)
-                    if root_entry.output is not None and any_compatible(
-                        root_entry.output, original
-                    ):
+                    # answer presence (Def. 2.8) reads the root's
+                    # output, as BottomUp does, so it is timed there
+                    with _PhaseTimer(self, "BottomUp"):
+                        present = (
+                            root_entry.output is not None
+                            and any_compatible(root_entry.output, original)
+                        )
+                    if present:
                         answer.answer_not_missing = True
                     self.last_tabqs.append(tabq)
                 answers.append(answer)
@@ -353,41 +359,6 @@ class NedExplain:
             partial=partial,
             degraded_reason=degraded_reason,
         )
-
-    def explain_many(
-        self,
-        predicates: Iterable[Predicate | CTuple | str],
-        budget: Budget | None = None,
-    ) -> tuple[NedExplainReport, ...]:
-        """Answer many Why-Not questions against one shared evaluation.
-
-        The query tree is evaluated (at most) once -- through the
-        engine's :class:`~repro.relational.evalcache.EvaluationCache`
-        -- and every question recomputes only its own compatible sets,
-        successor traces, and TabQ columns.  Reports are returned in
-        question order and are observationally identical to ``N``
-        independent :meth:`explain` calls (the differential test suite
-        asserts this over all Table-4 use cases and hundreds of
-        randomized workloads).
-
-        The batch is *fault-isolating*: every question runs to an
-        outcome even when an earlier one fails.  When all questions
-        succeed, the reports are returned; when any failed, a
-        :class:`~repro.errors.BatchError` is raised whose ``outcomes``
-        attribute still carries one
-        :class:`~repro.robustness.outcomes.QuestionOutcome` per
-        question (use :meth:`explain_each` to get the outcomes without
-        the exception).
-        """
-        outcomes = self.explain_each(predicates, budget=budget)
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise BatchError(
-                f"{len(failed)} of {len(outcomes)} questions failed "
-                "(all outcomes attached)",
-                outcomes=outcomes,
-            )
-        return tuple(o.report for o in outcomes)  # type: ignore[misc]
 
     def explain_each(
         self,
@@ -810,20 +781,3 @@ class NedExplain:
                 return current
             current = current.parent
         return None
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry point
-# ---------------------------------------------------------------------------
-def nedexplain(
-    canonical: CanonicalQuery,
-    predicate: Predicate | CTuple | str,
-    database: Database | None = None,
-    instance: DatabaseInstance | None = None,
-    config: NedExplainConfig | None = None,
-) -> NedExplainReport:
-    """One-shot API: explain *predicate* against *canonical* query."""
-    engine = NedExplain(
-        canonical, database=database, instance=instance, config=config
-    )
-    return engine.explain(predicate)

@@ -214,16 +214,3 @@ class ServiceError(ReproError):
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-
-
-class BatchError(ReproError):
-    """At least one question of a fault-isolated batch failed.
-
-    The batch still ran to completion: ``outcomes`` holds one
-    :class:`repro.robustness.outcomes.QuestionOutcome` per question, in
-    question order, so no answered question is lost to the failure.
-    """
-
-    def __init__(self, message: str, outcomes=()):
-        super().__init__(message)
-        self.outcomes = tuple(outcomes)

@@ -42,17 +42,12 @@ from .conditions import (
 )
 from .algebra import condition_tokens, query_fingerprint, structure_tokens
 from .database import Database, Table
-from .evalcache import (
-    CacheStats,
-    EvaluationCache,
-    get_default_cache,
-)
+from .evalcache import CacheStats, EvaluationCache
 from .evaluator import (
     EvaluationResult,
     evaluate,
     evaluate_query,
     resolve_aliases,
-    result_contains,
 )
 from .instance import (
     DatabaseInstance,
@@ -130,7 +125,6 @@ __all__ = [
     "evaluate_query",
     "find_node",
     "format_output",
-    "get_default_cache",
     "how_provenance",
     "is_qualified",
     "is_satisfiable",
@@ -141,7 +135,6 @@ __all__ = [
     "query_fingerprint",
     "query_input_instance",
     "resolve_aliases",
-    "result_contains",
     "split_qualified",
     "structure_tokens",
     "subtree_covering",

@@ -277,14 +277,3 @@ class EvaluationCache:
             f"EvaluationCache({len(self._entries)}/{self.maxsize} "
             f"entries, {self.stats!r})"
         )
-
-
-#: Process-wide default cache shared by NedExplain, the Why-Not
-#: baseline, and ``repro.explain_batch`` unless a private cache is
-#: passed explicitly.
-DEFAULT_CACHE = EvaluationCache(maxsize=128)
-
-
-def get_default_cache() -> EvaluationCache:
-    """The process-wide shared :class:`EvaluationCache`."""
-    return DEFAULT_CACHE

@@ -322,13 +322,3 @@ def resolve_aliases(
                 )
             mapping[leaf.alias] = leaf.alias
     return mapping
-
-
-def result_contains(
-    result: Sequence[Tuple], expected: Mapping[str, Value]
-) -> bool:
-    """True when some result tuple matches all given attribute values."""
-    for t in result:
-        if all(t.get(attr) == value for attr, value in expected.items()):
-            return True
-    return False

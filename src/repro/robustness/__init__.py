@@ -11,8 +11,7 @@ Lee et al. 2020).  This package provides the three pieces:
   into an explicit *degraded* report instead of nothing;
 * :mod:`~repro.robustness.outcomes` -- :class:`QuestionOutcome` /
   :class:`FailureInfo`: the total, per-question result type of
-  fault-isolated batches (``NedExplain.explain_each`` /
-  ``repro.explain_batch``);
+  fault-isolated batches (``NedExplain.explain_each``);
 * :mod:`~repro.robustness.faults` -- :class:`FaultPlan` and the
   :func:`fault_point` sites: deterministic, seedable fault injection
   used by the chaos test suite to prove failure containment.
@@ -33,7 +32,6 @@ batches durable and concurrent:
 """
 
 from ..errors import (
-    BatchError,
     BudgetExceededError,
     CancelledError,
     ConfigurationError,
@@ -71,7 +69,6 @@ from .outcomes import (
 )
 
 __all__ = [
-    "BatchError",
     "BatchJournal",
     "Budget",
     "BudgetExceededError",

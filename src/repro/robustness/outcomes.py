@@ -1,12 +1,11 @@
 """Per-question outcomes of a fault-isolated batch.
 
-``explain_many``'s contract before this module was all-or-nothing: one
-bad question -- an oversized join, an unsupported query class, a
-corrupted input -- took the whole batch down with it.  A
-:class:`QuestionOutcome` makes the batch total instead: every question
-resolves to either a report or a structured :class:`FailureInfo`
-(error class, phase, budget spent), in question order, always N
-outcomes for N questions.
+A batch (``NedExplain.explain_each``) is total: one bad question -- an
+oversized join, an unsupported query class, a corrupted input -- never
+takes the rest down with it.  Every question resolves to a
+:class:`QuestionOutcome` holding either a report or a structured
+:class:`FailureInfo` (error class, phase, budget spent), in question
+order, always N outcomes for N questions.
 
 Each outcome also records *how* it was reached:
 ``degradation_level`` names the rung of the degradation ladder that

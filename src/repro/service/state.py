@@ -92,6 +92,9 @@ _REQUEST_ID_RE = re.compile(r"^(?!registrations$)[A-Za-z0-9_-]{1,64}$")
 #: Database names key registries and the persisted registrations.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
+#: Every field a single-question body may carry; any other is refused.
+_EXPLAIN_FIELDS = ("database", "sql", "why_not", "budget", "baseline")
+
 #: Every field a batch body may carry; any other is refused by name.
 _BATCH_FIELDS: tuple[str, ...] = (
     "database", "sql", "why_not", "request_id", "workers", "budget"
@@ -406,8 +409,8 @@ class ServiceState:
         """The warm engine for (database, query), created on first use.
 
         Engines share their database's :class:`EvaluationCache`, so
-        repeated questions against one query hit the shared bottom-up
-        evaluation exactly as ``explain_many`` batches do.
+        repeated questions against one query, single or batched, hit
+        one shared bottom-up evaluation.
         """
         if not isinstance(sql, str) or not sql.strip():
             raise ConfigurationError("sql must be a non-empty string")
@@ -483,6 +486,16 @@ class ServiceState:
         server maps to a 206 response -- a bounded-latency degraded
         answer, never a hang.
         """
+        for field in body:
+            if field not in _EXPLAIN_FIELDS:
+                raise ConfigurationError(
+                    f"unknown explain field {field!r}; an explain body "
+                    f"takes {', '.join(_EXPLAIN_FIELDS)}"
+                )
+        if not isinstance(body.get("baseline", False), bool):
+            raise ConfigurationError(
+                f"baseline must be a boolean, got {body['baseline']!r}"
+            )
         question = body.get("why_not")
         if not isinstance(question, str) or not question.strip():
             raise ConfigurationError(

@@ -5,7 +5,6 @@ import pytest
 
 import repro.errors as errors
 from repro.core import DetailedEntry, NedExplainReport, WhyNotAnswer
-from repro.core.answers import merge_reports
 from repro.core.whynot_question import CTuple
 from repro.relational import RelationLeaf, RelationSchema, Select, attr_cmp
 
@@ -102,20 +101,6 @@ class TestNedExplainReport:
     def test_summary_empty_answer(self):
         report = NedExplainReport((_answer(),))
         assert "(empty)" in report.summary()
-
-    def test_merge_reports(self):
-        node = _node("m1")
-        merged = merge_reports(
-            [
-                NedExplainReport(
-                    (_answer(DetailedEntry("a", node)),),
-                    {"BottomUp": 1.0},
-                ),
-                NedExplainReport((_answer(),), {"BottomUp": 2.0}),
-            ]
-        )
-        assert len(merged.answers) == 2
-        assert merged.phase_times_ms["BottomUp"] == 3.0
 
     def test_iteration(self):
         answers = (_answer(), _answer())

@@ -8,7 +8,6 @@ from repro.baseline import (
     WhyNotBaseline,
     attribute_constraints,
     find_unpicked_items,
-    whynot,
 )
 from repro.core import parse_predicate
 from repro.workloads import get_canonical, get_database
@@ -98,7 +97,9 @@ class TestWhyNotBaseline:
         believe the answer is not missing."""
         db = get_database("crime")
         canonical = get_canonical("Q4")
-        report = whynot(canonical, "(P2.name: Audrey)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(P2.name: Audrey)"
+        )
         assert report.is_empty()
         assert "P2.name" in report.satisfied_constraints
 
@@ -106,7 +107,9 @@ class TestWhyNotBaseline:
         """Crime5: blame lands on the empty selection, not the join."""
         db = get_database("crime")
         canonical = get_canonical("Q2")
-        report = whynot(canonical, "(Person.name: Hank)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(Person.name: Hank)"
+        )
         (answer,) = report.answers
         assert answer.op == "sigma"
 
@@ -116,14 +119,18 @@ class TestWhyNotBaseline:
         the paper criticises."""
         db = get_database("crime")
         canonical = get_canonical("Q3")
-        report = whynot(canonical, "(C2.type: Kidnapping)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(C2.type: Kidnapping)"
+        )
         (answer,) = report.answers
         assert answer.op == "sigma"
 
     def test_traces_expose_item_level_story(self):
         db = get_database("crime")
         canonical = get_canonical("Q3")
-        report = whynot(canonical, "(C2.type: Kidnapping)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(C2.type: Kidnapping)"
+        )
         blamed_ops = {
             t.blamed.op for t in report.traces if t.blamed is not None
         }
@@ -133,16 +140,20 @@ class TestWhyNotBaseline:
     def test_summary_renders(self):
         db = get_database("crime")
         canonical = get_canonical("Q2")
-        report = whynot(canonical, "(Person.name: Hank)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(Person.name: Hank)"
+        )
         assert "answers:" in report.summary()
-        report2 = whynot(canonical, "(Person.name: Nobody)", database=db)
+        report2 = WhyNotBaseline(canonical, database=db).explain(
+            "(Person.name: Nobody)"
+        )
         assert "(none)" in report2.summary()
 
     def test_phase_times(self):
         db = get_database("crime")
         canonical = get_canonical("Q1")
-        report = whynot(
-            canonical, "(Person.name: Roger)", database=db
+        report = WhyNotBaseline(canonical, database=db).explain(
+            "(Person.name: Roger)"
         )
         assert set(report.phase_times_ms) == {"UnpickedFinder", "Tracing"}
         assert report.total_time_ms > 0
@@ -150,5 +161,5 @@ class TestWhyNotBaseline:
     def test_union_supported(self):
         db = get_database("gov")
         canonical = get_canonical("Q12")
-        report = whynot(canonical, "(name: JOHN)", database=db)
+        report = WhyNotBaseline(canonical, database=db).explain("(name: JOHN)")
         assert not report.is_empty()

@@ -9,7 +9,6 @@ from repro.core import (
     CTuple,
     NedExplain,
     canonical_from_tree,
-    nedexplain,
     unrename_ctuple,
 )
 from repro.core.repairs import (
@@ -91,8 +90,8 @@ class TestDifferenceNedExplain:
     def test_difference_node_blamed(self, diff_db):
         """Why is grace missing?  She is in New but removed by Old."""
         canonical = canonical_from_tree(_difference_query(diff_db))
-        report = nedexplain(
-            canonical, "(name: grace)", database=diff_db
+        report = NedExplain(canonical, database=diff_db).explain(
+            "(name: grace)"
         )
         (entry,) = report.detailed
         assert entry.tid == "New:2"
@@ -100,7 +99,7 @@ class TestDifferenceNedExplain:
 
     def test_surviving_tuple_not_blamed(self, diff_db):
         canonical = canonical_from_tree(_difference_query(diff_db))
-        report = nedexplain(canonical, "(name: ada)", database=diff_db)
+        report = NedExplain(canonical, database=diff_db).explain("(name: ada)")
         (answer,) = report.answers
         assert answer.answer_not_missing
 

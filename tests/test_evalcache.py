@@ -22,7 +22,8 @@ import weakref
 
 import pytest
 
-from repro.core import JoinPair, SPJASpec, canonicalize
+from repro.baseline import WhyNotBaseline
+from repro.core import JoinPair, NedExplain, SPJASpec, canonicalize
 from repro.errors import ConfigurationError, EvaluationError
 from repro.relational import (
     CacheStats,
@@ -61,6 +62,26 @@ def cache_fetch(cache, db, canonical):
         db.input_instance(canonical.aliases),
         canonical.aliases,
     )
+
+
+# ---------------------------------------------------------------------------
+# Ownership: an engine built without a cache shares nothing
+# ---------------------------------------------------------------------------
+def test_engines_without_a_cache_own_private_ones():
+    db = make_db()
+    canonical = canonicalize(make_spec(1), db.schema)
+    first = NedExplain(canonical, database=db)
+    second = NedExplain(canonical, database=db)
+    baseline = WhyNotBaseline(canonical, database=db)
+    caches = [first.cache, second.cache, baseline.cache]
+    assert all(isinstance(c, EvaluationCache) for c in caches)
+    assert len({id(c) for c in caches}) == 3
+    first.explain("(S.c: x)")
+    assert first.cache.stats.evaluations == 1
+    assert second.cache.stats.evaluations == 0
+    assert baseline.cache.stats.evaluations == 0
+    second.explain("(S.c: x)")
+    assert second.cache.stats.evaluations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.relational import (
     evaluate,
     evaluate_query,
     resolve_aliases,
-    result_contains,
 )
 from repro.relational.lineage import (
     base_lineage,
@@ -96,12 +95,6 @@ class TestEvaluatorRunningExample:
         )
         with pytest.raises(UnknownRelationError):
             resolve_aliases(foreign, running_example_db.instance())
-
-    def test_result_contains(self, running_example):
-        db, canonical = running_example
-        result = evaluate_query(canonical.root, db.instance())
-        assert result_contains(result.result, {"A.name": "Sophocles"})
-        assert not result_contains(result.result, {"A.name": "Homer"})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ public API surface."""
 
 import pytest
 
-from repro.core import CTuple, canonical_from_tree, nedexplain
+from repro.core import CTuple, NedExplain, canonical_from_tree
 from repro.errors import ConfigurationError
 from repro.core.canonical import canonicalize
 from repro.relational import (
@@ -42,7 +42,7 @@ class TestChainWorkload:
     def test_query_explains_needle(self):
         db = chain_database(3, rows_per_relation=30)
         canonical = canonicalize(chain_query(3), db.schema)
-        report = nedexplain(canonical, chain_predicate(), database=db)
+        report = NedExplain(canonical, database=db).explain(chain_predicate())
         assert not report.is_empty()
         (entry,) = [e for e in report.detailed if e.tid]
         assert entry.subquery.op == "join"
@@ -82,8 +82,8 @@ class TestCanonicalFromTree:
 
     def test_explainable(self, tiny_db):
         canonical = canonical_from_tree(self._tree(tiny_db))
-        report = nedexplain(
-            canonical, CTuple({"R.y": 20}), database=tiny_db
+        report = NedExplain(canonical, database=tiny_db).explain(
+            CTuple({"R.y": 20})
         )
         # y=20 belongs to R:2 (x='b'), which has no S partner
         (entry,) = report.detailed
@@ -128,6 +128,34 @@ class TestPublicApi:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    def test_algorithm_modules_are_not_hidden(self, monkeypatch):
+        """The package re-exports do not shadow the algorithm modules,
+        so a patch made through the module name takes effect."""
+        import inspect
+
+        import repro.baseline.whynot as whynot_module
+        import repro.core.nedexplain as ned_module
+        from repro.baseline import WhyNotBaseline
+
+        assert inspect.ismodule(ned_module)
+        assert inspect.ismodule(whynot_module)
+        assert ned_module.NedExplain is NedExplain
+
+        db = chain_database(3, rows_per_relation=30)
+        canonical = canonicalize(chain_query(3), db.schema)
+        calls = []
+        real_evaluate = whynot_module.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            calls.append(args)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(whynot_module, "evaluate", counting_evaluate)
+        WhyNotBaseline(canonical, database=db, use_cache=False).explain(
+            chain_predicate()
+        )
+        assert len(calls) == 1
 
     def test_version(self):
         import repro

@@ -252,6 +252,24 @@ class TestCliObservability:
         entries = report["answers"][0]["detailed"]
         assert {"tid": "A:a1", "subquery": "m0"} in entries
 
+    def test_explain_baseline_evaluates_the_query_once(
+        self, running_example_db, tmp_path, capsys
+    ):
+        import json
+
+        save_database(running_example_db, tmp_path / "db")
+        code = main(
+            self._explain_args(tmp_path)
+            + ["--baseline", "--json", "--metrics"]
+        )
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "baseline" in document
+        metrics = document["metrics"]
+        # the baseline reads the engine's evaluation from its cache
+        assert metrics["cache.misses"]["value"] == 1
+        assert metrics["cache.hits"]["value"] == 1
+
     def test_json_errors_go_to_stderr_and_document(
         self, tmp_path, capsys
     ):

@@ -8,7 +8,6 @@ from repro.core import (
     NedExplain,
     NedExplainConfig,
     Predicate,
-    nedexplain,
 )
 from repro.core.nedexplain import PHASES
 from repro.relational import Var, var_cmp
@@ -21,10 +20,8 @@ class TestRunningExample:
     def test_tc1_detailed_answer(self, running_example):
         """Ex. 2.6: the detailed answer of tc1 is {(t4, Q3)}."""
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: Homer, ap: $x1), $x1 > 25)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: Homer, ap: $x1), $x1 > 25)"
         )
         assert report.detailed == tuple(report.answers[0].detailed)
         (entry,) = report.detailed
@@ -34,10 +31,8 @@ class TestRunningExample:
     def test_tc2_join_answer(self, running_example):
         """Sec. 1: the A-AB join prunes the only other author."""
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: $x), $x != Homer and $x != Sophocles)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: $x), $x != Homer and $x != Sophocles)"
         )
         (entry,) = report.detailed
         assert entry.tid == "A:a3"  # Euripides
@@ -45,21 +40,17 @@ class TestRunningExample:
 
     def test_full_predicate_unions_answers(self, running_example):
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
+        report = NedExplain(canonical, database=db).explain(
             "((A.name: Homer, ap: $x1), $x1 > 25)"
-            " | ((A.name: $x2), $x2 != Homer and $x2 != Sophocles)",
-            database=db,
+            " | ((A.name: $x2), $x2 != Homer and $x2 != Sophocles)"
         )
         assert len(report.answers) == 2
         assert set(report.condensed_labels) == {"m0", "m2"}
 
     def test_condensed_answer(self, running_example):
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: Homer, ap: $x1), $x1 > 25)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: Homer, ap: $x1), $x1 > 25)"
         )
         assert report.answers[0].condensed_labels == ("m2",)
 
@@ -76,10 +67,8 @@ class TestRunningExample:
             projection=("A.name", "B.price"),
         )
         canonical = canonicalize(spec, running_example_db.schema)
-        report = nedexplain(
-            canonical,
-            "(A.name: Homer, B.price: 49)",
-            database=running_example_db,
+        report = NedExplain(canonical, database=running_example_db).explain(
+            "(A.name: Homer, B.price: 49)"
         )
         blamed = {e.subquery for e in report.detailed}
         assert blamed == {canonical.node("m1")}  # the uppermost join
@@ -102,10 +91,52 @@ class TestRunningExample:
         # early termination: the aggregation node is never evaluated
         assert by_label["m3"].output is None
 
+    def test_answer_presence_check_is_timed_in_bottomup(
+        self, running_example_db, monkeypatch
+    ):
+        """Def. 2.8's presence check over the root output runs inside
+        the BottomUp phase, so ``total_time_ms`` accounts for it."""
+        import repro.core.nedexplain as ned_module
+        from repro.core import JoinPair, SPJASpec, canonicalize
+        from repro.obs import ManualClock, use_clock
+
+        spec = SPJASpec(
+            aliases={"A": "A", "AB": "AB", "B": "B"},
+            joins=[JoinPair("A.aid", "AB.aid"), JoinPair("AB.bid", "B.bid")],
+            projection=("A.name", "B.price"),
+        )
+        canonical = canonicalize(spec, running_example_db.schema)
+        engine = NedExplain(canonical, database=running_example_db)
+        # both c-tuples reach the root, so each is checked there once
+        predicate = "(A.name: Sophocles) | (A.name: Homer)"
+        step_s = 0.25
+        clock = ManualClock()
+        real_check = ned_module.any_compatible
+        calls = []
+
+        def slow_check(output, ctuple):
+            calls.append(ctuple)
+            clock.advance(step_s)
+            return real_check(output, ctuple)
+
+        with use_clock(clock):
+            before = engine.explain(predicate)
+            monkeypatch.setattr(ned_module, "any_compatible", slow_check)
+            after = engine.explain(predicate)
+        assert len(calls) == 2  # one check per c-tuple
+        grown = after.phase_times_ms["BottomUp"] - before.phase_times_ms[
+            "BottomUp"
+        ]
+        assert grown == pytest.approx(step_s * 1000.0 * len(calls))
+        assert after.total_time_ms - before.total_time_ms == pytest.approx(
+            grown
+        )
+        assert after.summary() == before.summary()
+
     def test_phase_times_recorded(self, running_example):
         db, canonical = running_example
-        report = nedexplain(
-            canonical, "(A.name: Euripides)", database=db
+        report = NedExplain(canonical, database=db).explain(
+            "(A.name: Euripides)"
         )
         assert set(report.phase_times_ms) == set(PHASES)
         assert report.total_time_ms > 0
@@ -149,7 +180,7 @@ class TestInputHandling:
 
     def test_no_compatible_data_flagged(self, running_example):
         db, canonical = running_example
-        report = nedexplain(canonical, "(A.name: Zeus)", database=db)
+        report = NedExplain(canonical, database=db).explain("(A.name: Zeus)")
         (answer,) = report.answers
         assert answer.no_compatible_data
         assert answer.is_empty()
@@ -158,18 +189,16 @@ class TestInputHandling:
     def test_answer_not_missing_flagged(self, running_example):
         """Asking why (Sophocles, 49) is missing: it is not."""
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: Sophocles, ap: $x), $x = 49)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: Sophocles, ap: $x), $x = 49)"
         )
         (answer,) = report.answers
         assert answer.answer_not_missing
 
     def test_summary_renders(self, running_example):
         db, canonical = running_example
-        report = nedexplain(
-            canonical, "(A.name: Euripides)", database=db
+        report = NedExplain(canonical, database=db).explain(
+            "(A.name: Euripides)"
         )
         text = report.summary()
         assert "m0" in text and "Euripides" in text
@@ -182,13 +211,12 @@ class TestEarlyTermination:
     def test_same_answers_with_and_without(self, running_example):
         db, canonical = running_example
         predicate = "((A.name: Homer, ap: $x1), $x1 > 25)"
-        with_et = nedexplain(canonical, predicate, database=db)
-        without = nedexplain(
+        with_et = NedExplain(canonical, database=db).explain(predicate)
+        without = NedExplain(
             canonical,
-            predicate,
             database=db,
             config=NedExplainConfig(early_termination=False),
-        )
+        ).explain(predicate)
         assert [e.tid for e in with_et.detailed] == [
             e.tid for e in without.detailed
         ]
@@ -235,7 +263,7 @@ class TestSecondaryAnswer:
             projection=("A.name",),
         )
         canonical = canonicalize(spec, db.schema)
-        report = nedexplain(canonical, "(A.name: Homer)", database=db)
+        report = NedExplain(canonical, database=db).explain("(A.name: Homer)")
         (answer,) = report.answers
         # Homer is blocked at the join starving on the empty TOC; the
         # empty relation and the empty join both surface as diagnostics
@@ -272,8 +300,8 @@ class TestSecondaryAnswer:
             instance = DatabaseInstance(instance.schema)
             instance.insert_values("R", "r1", id=1, a=1, b=10)
             instance.insert_values("S", "s1", id=1, b=10, c=5)
-        report = nedexplain(
-            canonical, "(R.a: 1, S.c: 7)", instance=instance
+        report = NedExplain(canonical, instance=instance).explain(
+            "(R.a: 1, S.c: 7)"
         )
         (answer,) = report.answers
         assert answer.secondary == ()
@@ -298,10 +326,8 @@ class TestAggregationCondition:
         its empty output does not -- but since t4 itself is blocked at
         Q3, the (t4, Q3) pair subsumes the (null, Q3) entry."""
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: Homer, ap: $x1), $x1 > 25)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: Homer, ap: $x1), $x1 > 25)"
         )
         (entry,) = report.detailed
         assert entry.tid == "A:a1"
@@ -312,10 +338,8 @@ class TestAggregationCondition:
         input admits nothing above 40... so we ask >= 20 instead and
         tighten only at the selection."""
         db, canonical = running_example
-        report = nedexplain(
-            canonical,
-            "((A.name: Homer, ap: $x), $x >= 20)",
-            database=db,
+        report = NedExplain(canonical, database=db).explain(
+            "((A.name: Homer, ap: $x), $x >= 20)"
         )
         # Homer is blocked at the selection -> (tid, m2); the agg
         # condition check does not duplicate it as (null, m2)

@@ -3,7 +3,7 @@
 Complements ``test_differential_cache.py`` (which covers the paper's
 fixed Table-4 use cases) with randomized coverage: synthetic chain
 workloads from :mod:`repro.workloads.generator`, many predicates per
-query, batched through :meth:`NedExplain.explain_many` and cross-checked
+query, batched through one engine's shared evaluation and cross-checked
 against independent fresh runs with the shared-evaluation layer turned
 off.  All randomness is seeded, so failures replay deterministically.
 
@@ -189,7 +189,8 @@ def test_batched_engine_and_baseline_share_chain_evaluation():
     database, canonical = build_chain(21, 3, 6, 1)
     cache = EvaluationCache()
     engine = NedExplain(canonical, database=database, cache=cache)
-    engine.explain_many(random_predicates(21, 3, 5))
+    for outcome in engine.explain_each(random_predicates(21, 3, 5)):
+        outcome.unwrap()
     WhyNotBaseline(
         canonical, database=database, cache=cache
     ).explain(chain_predicate())

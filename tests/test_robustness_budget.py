@@ -20,7 +20,6 @@ import pytest
 from repro.baseline import WhyNotBaseline
 from repro.core import NedExplain, canonicalize
 from repro.errors import (
-    BatchError,
     BudgetExceededError,
     ConfigurationError,
     InjectedFaultError,
@@ -303,7 +302,7 @@ class TestBaselineBudget:
 # Fault-isolated batches
 # ---------------------------------------------------------------------------
 class TestExplainEach:
-    def test_all_ok_matches_explain_many(self, chain):
+    def test_all_ok_matches_sequential_explain(self, chain):
         db, canonical = chain
         engine = NedExplain(
             canonical, database=db, cache=EvaluationCache()
@@ -311,7 +310,7 @@ class TestExplainEach:
         outcomes = engine.explain_each(QUESTIONS)
         assert len(outcomes) == len(QUESTIONS)
         assert all(o.ok and not o.partial for o in outcomes)
-        reports = engine.explain_many(QUESTIONS)
+        reports = [engine.explain(question) for question in QUESTIONS]
         for outcome, report in zip(outcomes, reports):
             assert report_fingerprint(
                 outcome.report
@@ -380,18 +379,6 @@ class TestExplainEach:
         assert len(outcomes) == len(QUESTIONS)
         assert all(o.ok for o in outcomes)
         assert all(o.partial for o in outcomes)
-
-    def test_explain_many_raises_batcherror_with_all_outcomes(self, chain):
-        db, canonical = chain
-        engine = NedExplain(
-            canonical, database=db, cache=EvaluationCache()
-        )
-        questions = [QUESTIONS[0], "(Nope.x: 1)", QUESTIONS[2]]
-        with pytest.raises(BatchError) as info:
-            engine.explain_many(questions)
-        outcomes = info.value.outcomes
-        assert len(outcomes) == 3
-        assert outcomes[0].ok and outcomes[2].ok and not outcomes[1].ok
 
 
 class TestOutcomeTypes:

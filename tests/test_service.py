@@ -207,6 +207,28 @@ class TestServiceState:
         assert document["degradation_level"] == "full"
         assert document["report"]["answers"]
 
+    @pytest.mark.parametrize(
+        "extra,match",
+        [
+            ({"baselin": True}, "unknown explain field 'baselin'"),
+            ({"why": "typo"}, "unknown explain field 'why'"),
+            ({"baseline": "no"}, "baseline must be a boolean"),
+            ({"baseline": 1}, "baseline must be a boolean"),
+        ],
+    )
+    def test_explain_refuses_unknown_or_mistyped_fields(self, extra, match):
+        state = self._state()
+        state.register_database(REGISTER)
+        with pytest.raises(ConfigurationError, match=match):
+            state.explain_single(_explain_body(**extra))
+
+    def test_explain_baseline_shares_the_engine_cache(self):
+        state = self._state()
+        state.register_database(REGISTER)
+        document = state.explain_single(_explain_body(baseline=True))
+        assert "baseline" in document
+        assert state._caches["crime"].stats.evaluations == 1
+
     def test_engine_cache_is_shared_per_database(self):
         state = self._state()
         state.register_database(REGISTER)
@@ -609,6 +631,14 @@ class TestLiveServer:
             assert bad.status == 400  # validated, not silently ignored
             ok = client.explain(_explain_body(), deadline_ms=60_000)
             assert ok.status == 200
+
+    def test_unknown_explain_field_is_400(self):
+        with _live_server() as (httpd, client):
+            client.register_database(REGISTER)
+            bad = client.explain(_explain_body(baselin=True))
+            assert bad.status == 400
+            assert bad.error["type"] == "ConfigurationError"
+            assert "'baselin'" in bad.error["message"]
 
     def test_overload_sheds_429_while_healthz_stays_200(self):
         """The acceptance criterion, deterministically: with both
