@@ -24,7 +24,6 @@ from repro.relational import (
     RelationLeaf,
     Renaming,
     Select,
-    assign_labels,
     attr_cmp,
 )
 from repro.workloads import get_canonical, get_database

@@ -22,7 +22,6 @@ standalone script::
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from repro.core import NedExplain, NedExplainConfig, canonicalize

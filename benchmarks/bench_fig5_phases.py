@@ -13,11 +13,8 @@ import pytest
 
 from repro.bench import (
     PhaseAccumulator,
-    phases_payload,
     render_fig5,
     run_use_case,
-    write_bench_artifact,
-    write_sample_trace,
 )
 from repro.core import NedExplain
 from repro.workloads import USE_CASES, use_case_setup
@@ -54,5 +51,3 @@ def test_register_figure(benchmark):
         "Fig. 5: % time distribution over NedExplain phases",
         render_fig5(results),
     )
-    write_bench_artifact("phases", phases_payload(results))
-    write_sample_trace()

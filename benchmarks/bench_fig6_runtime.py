@@ -15,7 +15,6 @@ import statistics
 import pytest
 
 from repro.baseline import WhyNotBaseline
-from repro.bench import runtime_payload, write_bench_artifact
 from repro.core import NedExplain
 from repro.errors import UnsupportedQueryError
 from repro.workloads import USE_CASES, use_case_setup
@@ -89,4 +88,3 @@ def test_register_figure(benchmark):
     register_artefact(
         "Fig. 6: Why-Not and NedExplain execution time", text
     )
-    write_bench_artifact("runtime", runtime_payload(_MEDIANS, _SCALE))

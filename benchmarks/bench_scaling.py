@@ -17,8 +17,6 @@ from repro.workloads import (
     chain_database,
     chain_predicate,
     chain_query,
-    get_canonical,
-    get_database,
     use_case_setup,
 )
 

@@ -12,7 +12,6 @@ import tempfile
 from pathlib import Path
 
 from repro import (
-    Database,
     NedExplain,
     explain_sql,
     load_database,

@@ -39,12 +39,12 @@ from ..robustness.budget import (
 from ..relational.algebra import Aggregate, Difference, Query
 from ..relational.database import Database
 from ..relational.evalcache import EvaluationCache
-from ..relational.evaluator import EvaluationResult, evaluate
+from ..relational.evaluator import evaluate
 from ..relational.instance import DatabaseInstance
 from ..core.canonical import CanonicalQuery
 from ..core.whynot_question import CTuple, Predicate, parse_predicate
 from .tracing import ItemTrace, trace_item, trace_item_top_down
-from .unpicked import UnpickedItem, find_unpicked_items
+from .unpicked import find_unpicked_items
 
 
 @dataclass
@@ -71,16 +71,6 @@ class WhyNotBaselineReport:
     def is_empty(self) -> bool:
         return not self.answers
 
-    def to_dict(self) -> dict:
-        """JSON-ready view (the ``--json`` CLI report format; also the
-        shape journalled for baseline-fallback outcomes)."""
-        return {
-            "answers": list(self.answer_labels),
-            "satisfied_constraints": list(self.satisfied_constraints),
-            "phase_times_ms": dict(self.phase_times_ms),
-            "total_time_ms": self.total_time_ms,
-        }
-
     def summary(self) -> str:
         lines = []
         if self.answers:
@@ -103,8 +93,9 @@ class WhyNotBaseline:
     :class:`~repro.relational.evalcache.EvaluationCache` the query is
     evaluated through; pass the engine's ``cache`` to reuse its
     evaluation, or leave it out for a private cache.
-    ``use_cache=False`` evaluates from scratch on every explain call
-    (the uncached run of the baseline fallback rung).
+    ``use_cache=False`` evaluates from scratch on every explain call:
+    the uncached reference the differential tests compare the cached
+    engines against.
     """
 
     def __init__(

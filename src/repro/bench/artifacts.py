@@ -11,13 +11,13 @@ module fixes that with one tiny file format:
 * :func:`phases_payload` / :func:`runtime_payload` shape the Fig. 5 and
   Fig. 6 measurements into stable JSON;
 * :func:`collect_phases` / :func:`collect_runtime` produce those
-  measurements standalone -- no pytest-benchmark required -- so both
-  the benchmark suite and a bare ``python -m repro.bench.artifacts``
-  emit identical artifacts;
+  measurements standalone, on the gate's ``measure`` protocol -- no
+  pytest-benchmark required;
 * :func:`write_sample_trace` runs one use case under tracing and saves
   the JSON-lines span trace alongside the numbers.
 
-Running the module is the CI entry point::
+Running the module is the CI entry point and the only writer of the
+committed artifacts::
 
     python -m repro.bench.artifacts --out-dir .
 

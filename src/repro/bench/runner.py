@@ -9,7 +9,7 @@ Table 5 (answers), Fig. 5 (NedExplain phase distribution) and Fig. 6
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..baseline import WhyNotBaseline, WhyNotBaselineReport

@@ -1,6 +1,6 @@
 """Command-line interface for NedExplain.
 
-Three subcommands:
+Four subcommands:
 
 * ``explain`` -- load a CSV database, run a SQL query, and answer a
   Why-Not question::
@@ -77,17 +77,13 @@ from .robustness import (
 
 #: exit codes (the full table lives in docs/robustness.md):
 #: 0 = success; 2 = fatal error; 3 = the run completed but degraded --
-#: a batch with per-question failures, a budget-limited partial report,
-#: or a question answered by the baseline fallback; 4 =
-#: --fallback-baseline was given and at least one question still got
-#: no answer (the baseline failed on it too); 5 = a drain signal
-#: (SIGINT/SIGTERM) was received -- in-flight questions finished and
-#: were journaled, not-yet-started ones were cancelled.  Precedence
-#: when several apply: 5 > 4 > 3.
+#: a batch with per-question failures or a budget-limited partial
+#: report; 5 = a drain signal (SIGINT/SIGTERM) was received --
+#: in-flight questions finished and were journaled, not-yet-started
+#: ones were cancelled.  Precedence when several apply: 5 > 3.
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_DEGRADED = 3
-EXIT_NO_FALLBACK = 4
 EXIT_DRAINED = 5
 
 #: Environment hook: run the whole CLI on a ManualClock, so every
@@ -105,12 +101,7 @@ _EXIT_ENVELOPES: dict[int, tuple[str, str]] = {
     EXIT_DEGRADED: (
         "DegradedResult",
         "the run completed but at least one answer was degraded "
-        "(partial, failed, or baseline-fallback)",
-    ),
-    EXIT_NO_FALLBACK: (
-        "ResilienceExhausted",
-        "--fallback-baseline was given but at least one question "
-        "still got no answer",
+        "(partial, failed or cancelled)",
     ),
     EXIT_DRAINED: (
         "BatchDrained",
@@ -306,13 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on tuple comparisons performed per question",
     )
     resilience = explain.add_argument_group("resilience")
-    resilience.add_argument(
-        "--fallback-baseline",
-        dest="fallback_baseline",
-        action="store_true",
-        help="when NedExplain fails on a question, answer it with "
-        "the Why-Not baseline instead of failing",
-    )
     resilience.add_argument(
         "--journal",
         metavar="FILE",
@@ -547,7 +531,6 @@ def _run_explain(args, writer: OutputWriter) -> int:
     if (
         args.batch
         or len(questions) > 1
-        or args.fallback_baseline
         or args.journal
         or args.workers > 1
     ):
@@ -557,7 +540,7 @@ def _run_explain(args, writer: OutputWriter) -> int:
             raise ConfigurationError(
                 "--repairs explains one question at a time; it cannot "
                 "be combined with several --why-not, --batch, "
-                "--journal, --fallback-baseline or --workers > 1"
+                "--journal or --workers > 1"
             )
         return _run_explain_batch(
             args, writer, database, canonical, questions, budget
@@ -607,9 +590,8 @@ def _run_explain_batch(
     Fault-isolating: every question resolves to a report or a recorded
     failure; one bad question never drops the rest of the batch.  The
     exit code is 3 (not 0) when any question failed or was degraded,
-    and 4 when --fallback-baseline was given but a question still got
-    no answer (the baseline failed on it too), and 5 when a
-    SIGINT/SIGTERM triggered a graceful drain (precedence 5 > 4 > 3).
+    and 5 when a SIGINT/SIGTERM triggered a graceful drain (precedence
+    5 > 3).
     """
     journal = None
     if args.journal:
@@ -646,7 +628,6 @@ def _run_explain_batch(
         outcomes = engine.explain_each(
             questions,
             budget=budget,
-            fallback_baseline=args.fallback_baseline,
             journal=journal,
             workers=args.workers,
             cancel=cancel,
@@ -657,7 +638,6 @@ def _run_explain_batch(
         if journal is not None:
             journal.close()
     degraded = False
-    unanswered = False
     for question, outcome in zip(questions, outcomes):
         writer.append("outcomes", outcome.to_dict())
         writer.line(f"why-not {question}")
@@ -667,16 +647,11 @@ def _run_explain_batch(
                 f"level={outcome.degradation_level})"
             )
             degraded = degraded or outcome.degradation_level != "full"
-            unanswered = unanswered or not outcome.ok
             writer.line()
             continue
         if outcome.report is not None:
             writer.block(outcome.report.summary())
             degraded = degraded or outcome.report.partial
-        elif outcome.baseline is not None:
-            writer.line("  degraded to Why-Not baseline:")
-            writer.block(outcome.baseline.summary())
-            degraded = True
         elif outcome.degradation_level == "cancelled":
             # a drain stopped the batch before this question started:
             # reported explicitly, never silently dropped
@@ -685,7 +660,6 @@ def _run_explain_batch(
         else:
             writer.line(f"  FAILED: {outcome.failure.describe()}")
             degraded = True
-            unanswered = True
         writer.line()
     if journal is not None and journal.replayable_count:
         writer.line(
@@ -740,8 +714,6 @@ def _run_explain_batch(
             "questions finished, the rest were cancelled"
         )
         return EXIT_DRAINED
-    if args.fallback_baseline and unanswered:
-        return EXIT_NO_FALLBACK
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 

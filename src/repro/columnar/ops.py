@@ -54,7 +54,7 @@ from ..relational.conditions import (
     compare_values,
     join_key,
 )
-from .table import Batch, Bitmap, Dictionary, Gather
+from .table import Batch, Bitmap, Gather
 
 #: Rows per processing chunk (one span + one budget tick per chunk).
 BATCH_ROWS = 1024

@@ -193,9 +193,9 @@ class NedExplainReport:
 
     @property
     def degradation_level(self) -> str:
-        """The ladder rung this report sits on: ``"full"`` or
-        ``"partial"`` (a report can never be the ``"baseline"`` or
-        ``"failed"`` rung -- those live on the
+        """The degradation level of this report: ``"full"`` or
+        ``"partial"`` (``"cancelled"`` and ``"failed"`` have no report
+        -- they live on the
         :class:`~repro.robustness.outcomes.QuestionOutcome`)."""
         return "partial" if self.partial else "full"
 

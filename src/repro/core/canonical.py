@@ -544,7 +544,6 @@ def canonical_from_tree(
     """
     from ..relational.algebra import (
         Aggregate,
-        subtree_covering,
         validate_tree,
     )
 

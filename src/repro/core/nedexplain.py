@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from ..errors import (
     BudgetExceededError,
@@ -73,9 +73,6 @@ from .successors import find_successors
 from .tabq import TabEntry, TabQ, TabQPlan
 from .unrename import unrename_ctuple
 from .whynot_question import CTuple, Predicate, parse_predicate
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.baseline
-    from ..baseline.whynot import WhyNotBaselineReport
 
 #: The four phases of Fig. 5.
 PHASES = ("Initialization", "CompatibleFinder", "SuccessorsFinder", "BottomUp")
@@ -364,7 +361,6 @@ class NedExplain:
         self,
         predicates: Iterable[Predicate | CTuple | str],
         budget: Budget | None = None,
-        fallback_baseline: bool = False,
         journal: BatchJournal | None = None,
         workers: int = 1,
         cancel: CancellationToken | None = None,
@@ -385,11 +381,6 @@ class NedExplain:
         deterministic in (query, instance, question), so re-running a
         failed question cannot change its outcome.
 
-        *fallback_baseline*
-            when the attempt fails, answer with the Why-Not baseline
-            instead of failing
-            (``outcome.degradation_level == "baseline"``,
-            the answer in ``outcome.baseline``).
         *journal*
             a :class:`~repro.robustness.journal.BatchJournal`: every
             resolved outcome is appended and flushed as soon as it
@@ -428,9 +419,7 @@ class NedExplain:
             return ReplayedOutcome(question=predicate, record=record)
 
         def _resolve(index, predicate):
-            return self._resolve_outcome(
-                predicate, budget, fallback_baseline
-            )
+            return self._resolve_outcome(predicate, budget)
 
         def _record(index, predicate, outcome):
             if journal is not None:
@@ -462,10 +451,9 @@ class NedExplain:
         self,
         predicate: Predicate | CTuple | str,
         budget: Budget | None,
-        fallback_baseline: bool,
     ) -> QuestionOutcome:
-        """One question, driven to an outcome: attempt -> optional
-        Why-Not baseline rung -> structured failure.
+        """One question, driven to an outcome: a report or a structured
+        failure.
 
         The resolution runs under a
         :func:`~repro.robustness.faults.fault_scope` keyed by the
@@ -486,50 +474,13 @@ class NedExplain:
                 error.__cause__ = exc
             else:
                 return QuestionOutcome(question=predicate, report=report)
-            failure = FailureInfo.from_error(
-                error, phase=context.phase, spent=context.spent()
-            )
-            if fallback_baseline:
-                baseline = self._baseline_answer(predicate)
-                if baseline is not None:
-                    return QuestionOutcome(
-                        question=predicate,
-                        failure=failure,
-                        error=error,
-                        baseline=baseline,
-                    )
         return QuestionOutcome(
-            question=predicate, failure=failure, error=error
+            question=predicate,
+            failure=FailureInfo.from_error(
+                error, phase=context.phase, spent=context.spent()
+            ),
+            error=error,
         )
-
-    def _baseline_answer(
-        self, predicate: Predicate | CTuple | str
-    ) -> WhyNotBaselineReport | None:
-        """The baseline rung: the Why-Not (Chapman & Jagadish) answer
-        to a question NedExplain failed on, or ``None`` if the baseline
-        cannot resolve it either (e.g. the
-        :class:`~repro.errors.UnsupportedQueryError` of aggregation
-        queries, the paper's "n.a." rows).  The run is deliberately
-        **uncached**: the shared evaluation cache may be the very site
-        that failed."""
-        from ..baseline.whynot import WhyNotBaseline
-
-        tracer = current_tracer()
-        try:
-            question = self._coerce(predicate)
-            # the baseline never checks a question against the query: a
-            # malformed one must fail here, not come back as "(none)"
-            question.validate_against(self.canonical.root)
-            report = WhyNotBaseline(
-                self.canonical, instance=self.instance, use_cache=False
-            ).explain(question)
-        except ReproError:
-            if tracer is not None:
-                tracer.metrics.counter("resilience.fallbacks.failed").inc()
-            return None
-        if tracer is not None:
-            tracer.metrics.counter("resilience.fallbacks.baseline").inc()
-        return report
 
     def _note_phase(self, name: str) -> None:
         """Point the ambient execution context at the running phase."""

@@ -14,8 +14,6 @@ subquery per compatible tuple).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..relational.algebra import Query, RelationLeaf
 from ..relational.evaluator import EvaluationResult
 from ..relational.tuples import Tuple

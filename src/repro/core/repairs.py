@@ -43,7 +43,7 @@ from ..relational.conditions import (
     compare_values,
 )
 from ..relational.evaluator import evaluate
-from ..relational.tuples import Tuple, Value
+from ..relational.tuples import Tuple
 from .canonical import CanonicalQuery, canonical_from_tree
 from .nedexplain import NedExplain
 from .answers import NedExplainReport

@@ -202,13 +202,15 @@ class StorageError(ReproError):
 
 
 class ServiceError(ReproError):
-    """A why-not service request failed at the HTTP layer.
+    """A why-not service request names something the service cannot
+    serve: an unknown database, an unknown batch, or a batch still in
+    flight.
 
-    Raised by :mod:`repro.service.client` for transport failures
-    (connection refused, timeouts, malformed responses) and by
-    :meth:`~repro.service.client.ServiceResponse.raise_for_status` for
-    error envelopes the server returned.  ``status`` carries the HTTP
-    status code when one was received (``None`` for transport errors).
+    Raised by :class:`~repro.service.state.ServiceState`; the server
+    answers it with ``status`` (404 or 409) and an error envelope of
+    this class name.  The client never raises it: a
+    :class:`~repro.service.client.ServiceResponse` carries every status
+    to the caller.
     """
 
     def __init__(self, message: str, status: int | None = None):

@@ -47,17 +47,6 @@ class Clock:
     def perf_counter(self) -> float:
         raise NotImplementedError
 
-    def sleep(self, seconds: float) -> None:
-        """Block until *seconds* have passed on this clock.
-
-        The service client's pushback backoff
-        (:class:`repro.service.client.RetryPolicy`) waits through this
-        method rather than :func:`time.sleep`, so a test under a
-        :class:`ManualClock` advances instantly and never sleeps for
-        real.
-        """
-        raise NotImplementedError
-
 
 class SystemClock(Clock):
     """The real wall clock (:func:`time.monotonic` and friends)."""
@@ -67,10 +56,6 @@ class SystemClock(Clock):
 
     def perf_counter(self) -> float:
         return time.perf_counter()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
 
     def __repr__(self) -> str:
         return "SystemClock()"
@@ -108,11 +93,6 @@ class ManualClock(Clock):
 
     def perf_counter(self) -> float:
         return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Sleeping on a manual clock just advances it -- instantly."""
-        if seconds > 0:
-            self.advance(seconds)
 
     def __repr__(self) -> str:
         return f"ManualClock(now={self._now:.6f})"

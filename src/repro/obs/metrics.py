@@ -12,11 +12,6 @@ instrumentation sites never need registration boilerplate::
 
     registry.counter("cache.hits").inc()
     registry.histogram("evaluator.rows_out").observe(len(output))
-
-Well-known names emitted by the Why-Not baseline rung of
-``NedExplain.explain_each(fallback_baseline=True)``:
-``resilience.fallbacks.baseline`` / ``resilience.fallbacks.failed``
-count the questions the baseline answered / could not answer either.
 """
 
 from __future__ import annotations

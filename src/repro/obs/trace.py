@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ..errors import ConfigurationError
 from .clock import Clock, current_clock

@@ -16,10 +16,8 @@ Lee et al. 2020).  This package provides the three pieces:
   :func:`fault_point` sites: deterministic, seedable fault injection
   used by the chaos test suite to prove failure containment.
 
-Each question is resolved in one attempt; when it fails,
-``NedExplain.explain_each(fallback_baseline=True)`` can still answer
-it with the Why-Not baseline before giving up.  Two more pieces make
-batches durable and concurrent:
+Each question is resolved in one attempt, to a report or a recorded
+failure.  Two more pieces make batches durable and concurrent:
 
 * :mod:`~repro.robustness.journal` -- :class:`BatchJournal`, the
   write-ahead log (flushed per record, fsync-ed once at close) that

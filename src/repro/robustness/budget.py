@@ -38,6 +38,7 @@ construction), so budget and chaos tests drive deadlines with a
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -49,6 +50,30 @@ from ..obs.trace import current_tracer
 
 #: How many comparison ticks may pass between two wall-clock reads.
 DEADLINE_CHECK_EVERY = 1024
+
+
+def _check_limit(key: str, value: object, integer: bool) -> None:
+    """Refuse a budget limit that bounds nothing or cannot be counted.
+
+    A time limit must be a finite positive number (NaN compares false
+    with everything, so it would otherwise slip through as "no
+    deadline"); a row or comparison limit must be a positive integer.
+    A bool is never a limit.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif integer:
+        ok = isinstance(value, int) and value > 0
+    else:
+        try:
+            ok = 0.0 < float(value) < math.inf
+        except OverflowError:  # an int too large for a float
+            ok = False
+    if not ok:
+        kind = "a positive integer" if integer else "positive and finite"
+        raise ConfigurationError(
+            f"budget {key} must be {kind}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,12 +94,10 @@ class Budget:
     max_comparisons: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("deadline_s", "max_rows", "max_comparisons"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"budget {name} must be positive, got {value!r}"
-                )
+        for key in ("deadline_s", "max_rows", "max_comparisons"):
+            value = getattr(self, key)
+            if value is not None:
+                _check_limit(key, value, integer=key != "deadline_s")
 
     @property
     def is_unlimited(self) -> bool:
@@ -92,8 +115,10 @@ class Budget:
         Accepted keys: ``deadline_ms`` (milliseconds of wall clock),
         ``max_rows``, ``max_comparisons``.  ``None`` or an empty
         mapping yields ``None`` (no budget); anything else malformed --
-        a non-mapping, unknown keys, non-numeric or non-positive values
-        -- raises :class:`~repro.errors.ConfigurationError` so the
+        a non-mapping, unknown keys, a ``deadline_ms`` that is not a
+        finite positive number, a ``max_rows`` or ``max_comparisons``
+        that is not a positive integer -- raises
+        :class:`~repro.errors.ConfigurationError` naming the key, so the
         caller can refuse the request instead of silently running it
         unbounded.
         """
@@ -114,31 +139,16 @@ class Budget:
         if not spec:
             return None
 
-        def _number(key: str) -> float | None:
-            value = spec.get(key)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise ConfigurationError(
-                    f"budget {key} must be a number, got {value!r}"
-                )
-            return float(value)
-
-        deadline_ms = _number("deadline_ms")
-        max_rows = _number("max_rows")
-        max_comparisons = _number("max_comparisons")
+        for key in ("deadline_ms", "max_rows", "max_comparisons"):
+            if spec.get(key) is not None:
+                _check_limit(key, spec[key], integer=key != "deadline_ms")
+        deadline_ms = spec.get("deadline_ms")
         return cls(
             deadline_s=(
                 deadline_ms / 1000.0 if deadline_ms is not None else None
             ),
-            max_rows=int(max_rows) if max_rows is not None else None,
-            max_comparisons=(
-                int(max_comparisons)
-                if max_comparisons is not None
-                else None
-            ),
+            max_rows=spec.get("max_rows"),
+            max_comparisons=spec.get("max_comparisons"),
         )
 
 

@@ -3,22 +3,17 @@
 A batch (``NedExplain.explain_each``) is total: one bad question -- an
 oversized join, an unsupported query class, a corrupted input -- never
 takes the rest down with it.  Every question resolves to a
-:class:`QuestionOutcome` holding either a report or a structured
-:class:`FailureInfo` (error class, phase, budget spent), in question
-order, always N outcomes for N questions.
+:class:`QuestionOutcome` holding exactly one of a report or a
+structured :class:`FailureInfo` (error class, phase, budget spent), in
+question order, always N outcomes for N questions.
 
 Each outcome also records *how* it was reached:
-``degradation_level`` names the rung of the degradation ladder that
-resolved the question -- ``"full"`` (a complete report),
-``"partial"`` (a budget-degraded report), ``"baseline"`` (NedExplain
-failed and the Why-Not baseline answered; the answer lives in
-``outcome.baseline``, the triggering error in ``outcome.failure``),
-or ``"failed"`` (nothing produced an answer).
-
-A batch adds one more level, ``"cancelled"``: a cooperative drain
-(SIGINT/SIGTERM, or the service shutting down) stopped the batch
-before this question started.  In-flight questions always finish, so a
-cancelled question simply never ran.
+``degradation_level`` is one of :data:`DEGRADATION_LEVELS` --
+``"full"`` (a complete report), ``"partial"`` (a budget-degraded
+report), ``"cancelled"`` (a cooperative drain -- SIGINT/SIGTERM, or the
+service shutting down -- stopped the batch before this question
+started; in-flight questions always finish, so a cancelled question
+simply never ran) or ``"failed"`` (the question raised).
 """
 
 from __future__ import annotations
@@ -29,19 +24,16 @@ from typing import TYPE_CHECKING, Any
 from ..errors import ReproError
 from .budget import BudgetSpent
 
-if TYPE_CHECKING:  # avoid a runtime cycle with repro.core / repro.baseline
-    from ..baseline.whynot import WhyNotBaselineReport
+if TYPE_CHECKING:  # avoid a runtime cycle with repro.core
     from ..core.answers import NedExplainReport
 
-#: The rungs of the degradation ladder, best first.  ``cancelled``
-#: is the one rung that is not about execution: the question produced
-#: no answer because a drain stopped the batch before it *started*.
+#: The degradation levels, best to worst; a batch envelope reports the
+#: worst level (highest index) across its outcomes.
 DEGRADATION_LEVELS: tuple[str, ...] = (
     "full",
     "partial",
-    "baseline",
-    "failed",
     "cancelled",
+    "failed",
 )
 
 
@@ -101,7 +93,7 @@ class FailureInfo:
 
 @dataclass(frozen=True)
 class QuestionOutcome:
-    """Resolution of one question of a batch: report, fallback, or failure."""
+    """Resolution of one question of a batch: report or failure."""
 
     #: outcomes computed in this process are never journal replays
     replayed = False
@@ -111,29 +103,19 @@ class QuestionOutcome:
     failure: FailureInfo | None = None
     #: the original exception, for callers that want to re-raise
     error: ReproError | None = None
-    #: the ladder rung that resolved the question (see
-    #: :data:`DEGRADATION_LEVELS`); derived when left at the default
+    #: how the question was resolved (see :data:`DEGRADATION_LEVELS`);
+    #: derived when left at the default
     degradation_level: str = "full"
-    #: the Why-Not baseline answer, when the ladder fell back to it
-    baseline: "WhyNotBaselineReport | None" = None
 
     def __post_init__(self) -> None:
-        if self.baseline is not None and self.report is not None:
-            raise ValueError(
-                "a baseline-fallback outcome carries no full report"
-            )
-        if self.baseline is None and (
-            (self.report is None) == (self.failure is None)
-        ):
+        if (self.report is None) == (self.failure is None):
             raise ValueError(
                 "a QuestionOutcome carries exactly one of report / "
-                "failure (or a baseline fallback)"
+                "failure"
             )
         # derive a consistent level when the caller left the default
         if self.degradation_level == "full":
-            if self.baseline is not None:
-                object.__setattr__(self, "degradation_level", "baseline")
-            elif self.report is None:
+            if self.report is None:
                 object.__setattr__(self, "degradation_level", "failed")
             elif getattr(self.report, "partial", False):
                 object.__setattr__(self, "degradation_level", "partial")
@@ -146,9 +128,8 @@ class QuestionOutcome:
 
     @property
     def ok(self) -> bool:
-        """True when *some* answer was produced -- a report at any
-        ladder rung, including the baseline fallback."""
-        return self.report is not None or self.baseline is not None
+        """True when the outcome has a report (full or partial)."""
+        return self.report is not None
 
     @property
     def partial(self) -> bool:
@@ -169,9 +150,6 @@ class QuestionOutcome:
             if self.failure is not None
             else None,
             "degradation_level": self.degradation_level,
-            "baseline": self.baseline.to_dict()
-            if self.baseline is not None
-            else None,
         }
 
     def unwrap(self) -> "NedExplainReport":
@@ -218,7 +196,6 @@ class ReplayedOutcome:
     report = None
     failure = None
     error = None
-    baseline = None
 
     question: Any
     #: the ``QuestionOutcome.to_dict()`` payload stored in the journal

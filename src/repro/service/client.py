@@ -21,38 +21,24 @@ to repeat (explain is pure, a batch is keyed by its ``request_id``, and
 re-registering a database ends in the same state).  :meth:`close`, or
 leaving a ``with`` block, closes every connection the client opened.
 
-A client built with a :class:`RetryPolicy` also retries *pushback*
-responses -- 429 (shedding) and 503 (draining) -- waiting the
-larger of the server's ``Retry-After`` and the policy's backoff between
-attempts.  The wait runs on the ambient clock
-(:func:`repro.obs.clock.current_clock`), so tests drive it with a
-:class:`~repro.obs.clock.ManualClock` and never sleep for real.  Other
-statuses are returned immediately: only pushback is a promise that
-retrying can help.
+Pushback -- 429 (shedding) and 503 (draining) -- is returned like any
+other status, with the server's ``Retry-After`` in
+``response.retry_after_s``; when to try again is the caller's call.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..errors import ConfigurationError
-from ..obs.clock import current_clock
-
 __all__ = [
-    "RETRY_STATUSES",
-    "RetryPolicy",
     "ServiceClient",
     "ServiceResponse",
 ]
-
-#: response statuses the retry policy treats as server pushback
-RETRY_STATUSES = (429, 503)
 
 #: how a reused keep-alive connection fails when the server closed it
 #: before the request reached it (``RemoteDisconnected`` is the
@@ -62,64 +48,6 @@ _STALE_CONNECTION_ERRORS = (
     BrokenPipeError,
     ConnectionResetError,
 )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How often, and how patiently, a pushed-back request is re-sent.
-
-    ``max_attempts`` counts *total* attempts (1 = no retry).  The delay
-    before retry *k* (0-based) is::
-
-        min(backoff_ms * multiplier**k, max_backoff_ms) * jitter_factor
-
-    where ``jitter_factor`` is drawn deterministically from
-    ``(seed, key, k)`` in ``[1 - jitter, 1 + jitter]`` -- spreading a
-    thundering herd without sacrificing reproducibility.
-    """
-
-    max_attempts: int = 3
-    #: base delay before the first retry, in milliseconds
-    backoff_ms: float = 100.0
-    multiplier: float = 2.0
-    max_backoff_ms: float = 30_000.0
-    #: +- fraction of deterministic jitter applied to each delay
-    jitter: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_ms < 0 or self.max_backoff_ms < 0:
-            raise ConfigurationError(
-                "backoff_ms and max_backoff_ms must be >= 0, got "
-                f"{self.backoff_ms!r} / {self.max_backoff_ms!r}"
-            )
-        if self.multiplier < 1.0:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier!r}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter!r}"
-            )
-
-    def delay_s(self, retry_index: int, key: str = "") -> float:
-        """Seconds to wait before retry *retry_index* (0-based)."""
-        if retry_index < 0:
-            raise ConfigurationError(
-                f"retry_index must be >= 0, got {retry_index}"
-            )
-        delay_ms = min(
-            self.backoff_ms * self.multiplier ** retry_index,
-            self.max_backoff_ms,
-        )
-        if self.jitter and delay_ms > 0:
-            rng = random.Random(f"{self.seed}:{key}:{retry_index}")
-            delay_ms *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay_ms / 1000.0
 
 
 @dataclass(frozen=True)
@@ -155,15 +83,11 @@ class ServiceClient:
         host: str = "127.0.0.1",
         port: int = 8080,
         timeout_s: float = 30.0,
-        retry: RetryPolicy | None = None,
     ):
         self.host = host
         self.port = port
         self.base = f"http://{host}:{port}"
         self.timeout_s = timeout_s
-        #: when set, 429/503 responses are retried (bounded by
-        #: ``retry.max_attempts``), honouring ``Retry-After``
-        self.retry = retry
         #: this thread's kept-alive connection
         self._local = threading.local()
         #: every connection opened, so :meth:`close` reaches all threads'
@@ -171,38 +95,6 @@ class ServiceClient:
         self._connections_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------
-    def request(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None = None,
-        headers: Mapping[str, str] | None = None,
-    ) -> ServiceResponse:
-        """One logical request: a single exchange, plus the bounded
-        pushback-retry loop when a :class:`RetryPolicy` is set.
-
-        The wait before retry *k* is the larger of the server's
-        ``Retry-After`` and the policy's backoff for *k* -- the server
-        knows how loaded it is, the policy knows how patient the
-        caller can afford to be.
-        """
-        response = self._send(method, path, body, headers)
-        if self.retry is None:
-            return response
-        retry_index = 0
-        while (
-            response.status in RETRY_STATUSES
-            and retry_index < self.retry.max_attempts - 1
-        ):
-            delay = self.retry.delay_s(retry_index, key=path)
-            if response.retry_after_s is not None:
-                delay = max(delay, response.retry_after_s)
-            if delay > 0:
-                current_clock().sleep(delay)
-            retry_index += 1
-            response = self._send(method, path, body, headers)
-        return response
-
     def _connection(self) -> http.client.HTTPConnection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
@@ -214,13 +106,14 @@ class ServiceClient:
                 self._connections.append(connection)
         return connection
 
-    def _send(
+    def request(
         self,
         method: str,
         path: str,
         body: Mapping[str, Any] | None = None,
         headers: Mapping[str, str] | None = None,
     ) -> ServiceResponse:
+        """One exchange on this thread's kept-alive connection."""
         data = (
             json.dumps(body).encode("utf-8")
             if body is not None

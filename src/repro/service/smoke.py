@@ -31,7 +31,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from .client import ServiceClient

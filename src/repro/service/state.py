@@ -61,26 +61,15 @@ from ..relational import EvaluationCache
 from ..relational.csv_io import load_database
 from ..relational.database import Database
 from ..relational.sql import sql_to_canonical
-from ..robustness import Budget, CancellationToken
+from ..robustness import Budget, CancellationToken, DEGRADATION_LEVELS
 from ..robustness.journal import load_records, read_result, record_line
 from ..storage import StorageBackend, atomic_write_text
 
 __all__ = [
     "AdmissionGate",
-    "DEGRADATION_SEVERITY",
     "ServiceConfig",
     "ServiceState",
 ]
-
-#: Order of degradation levels from best to worst; a batch envelope
-#: reports the *worst* level across its outcomes.
-DEGRADATION_SEVERITY: dict[str, int] = {
-    "full": 0,
-    "partial": 1,
-    "baseline": 2,
-    "cancelled": 3,
-    "failed": 4,
-}
 
 #: The journal of database registrations, beside the batch journals.
 _REGISTRATIONS = "registrations.journal.jsonl"
@@ -657,9 +646,7 @@ class ServiceState:
             )
             replayed = journal.replayable_count if journal else 0
             levels = [o.degradation_level for o in outcomes]
-            worst = max(
-                levels, key=lambda level: DEGRADATION_SEVERITY[level]
-            )
+            worst = max(levels, key=DEGRADATION_LEVELS.index)
             stats = engine.cache.stats
             document = {
                 "request_id": request_id,

@@ -409,7 +409,7 @@ class TestCliObservability:
 
 
 class TestCliResilience:
-    """--fallback-baseline / --journal and exit code 4."""
+    """The batch path: outcome documents, --journal / --resume."""
 
     def _base_args(self, tmp_path):
         return [
@@ -440,8 +440,7 @@ class TestCliResilience:
         document = json.loads(capsys.readouterr().out)
         ok, failed = document["outcomes"]
         expected_keys = {
-            "question", "ok", "report", "failure",
-            "degradation_level", "baseline",
+            "question", "ok", "report", "failure", "degradation_level",
         }
         assert set(ok) == expected_keys
         assert set(failed) == expected_keys
@@ -455,37 +454,6 @@ class TestCliResilience:
             "answers", "phase_times_ms", "total_time_ms",
             "partial", "degraded_reason", "degradation_level",
         }
-
-    def test_question_the_baseline_also_rejects_exits_4(
-        self, running_example_db, tmp_path, capsys
-    ):
-        import json
-
-        save_database(running_example_db, tmp_path / "db")
-        code = main(
-            self._base_args(tmp_path)
-            + ["--why-not", "(A.nope: broken)", "--fallback-baseline"]
-        )
-        assert code == 4
-        document = json.loads(capsys.readouterr().out)
-        assert document["exit_code"] == 4
-        assert document["outcomes"][0]["degradation_level"] == "failed"
-
-    def test_single_question_with_fallback_uses_batch_path(
-        self, running_example_db, tmp_path, capsys
-    ):
-        import json
-
-        save_database(running_example_db, tmp_path / "db")
-        code = main(
-            self._base_args(tmp_path)
-            + ["--why-not", "(A.name: Homer)", "--fallback-baseline"]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        (outcome,) = document["outcomes"]
-        assert outcome["ok"]
-        assert outcome["degradation_level"] == "full"
 
     def test_journal_round_trip_over_cli(
         self, running_example_db, tmp_path, capsys
@@ -528,7 +496,7 @@ class TestCliResilience:
         [
             ["--why-not", "(A.name: Sophocles)"],
             ["--batch"],
-            ["--fallback-baseline"],
+            ["--journal", "{tmp}/batch.jsonl"],
             ["--workers", "2"],
         ],
     )
@@ -543,7 +511,7 @@ class TestCliResilience:
         code = main(
             self._base_args(tmp_path)
             + ["--why-not", "(A.name: Homer)", "--repairs"]
-            + batch_flags
+            + [flag.format(tmp=tmp_path) for flag in batch_flags]
         )
         assert code == 2
         document = json.loads(capsys.readouterr().out)
@@ -569,8 +537,7 @@ class TestCliErrorEnvelope:
     """Every nonzero ``--json`` exit carries one stable error envelope:
     ``document["error"] == {"type", "message", "exit_code"}``.  Scripted
     callers branch on this shape for *every* failure mode -- fatal (2),
-    degraded (3), resilience-exhausted (4), drained (5) --
-    instead of scraping stderr."""
+    degraded (3), drained (5) -- instead of scraping stderr."""
 
     def _document(self, capsys):
         import json
@@ -644,19 +611,6 @@ class TestCliErrorEnvelope:
         assert code == 3
         self._assert_envelope(
             self._document(capsys), 3, "DegradedResult"
-        )
-
-    def test_exit_4_resilience_exhausted(
-        self, running_example_db, tmp_path, capsys
-    ):
-        save_database(running_example_db, tmp_path / "db")
-        code = main(
-            self._base_args(tmp_path)
-            + ["--why-not", "(A.nope: broken)", "--fallback-baseline"]
-        )
-        assert code == 4
-        self._assert_envelope(
-            self._document(capsys), 4, "ResilienceExhausted"
         )
 
     def test_exit_5_drained(

@@ -64,7 +64,6 @@ def _outcome_dict(question="(q: 1)", ok=True):
         "report": {"answers": []},
         "failure": None,
         "degradation_level": "full",
-        "baseline": None,
     }
 
 

@@ -97,6 +97,26 @@ class TestBudget:
         with pytest.raises(ConfigurationError):
             Budget(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"deadline_s": float("nan")},
+            {"deadline_s": float("inf")},
+            {"deadline_s": True},
+            {"max_rows": 2.7},
+            {"max_rows": float("inf")},
+            {"max_rows": True},
+            {"max_comparisons": 1e400},
+            {"max_comparisons": 3.0},
+        ],
+    )
+    def test_unbounded_or_fractional_limits_rejected(self, kwargs):
+        """NaN passes ``<= 0`` and would run with no limit at all; a
+        fractional count would be cut silently."""
+        (key,) = kwargs
+        with pytest.raises(ConfigurationError, match=key):
+            Budget(**kwargs)
+
     def test_rows_limit_enforced(self):
         context = ExecutionContext(Budget(max_rows=10))
         context.tick_rows(10)  # at the limit: fine

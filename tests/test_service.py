@@ -153,6 +153,26 @@ class TestBudgetFromRequest:
         with pytest.raises(ConfigurationError):
             Budget.from_request(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # json.loads accepts NaN and Infinity, and 1e400 overflows
+            # to inf
+            {"deadline_ms": float("nan")},
+            {"deadline_ms": float("inf")},
+            {"deadline_ms": 10**400},
+            {"max_rows": float("inf")},
+            {"max_rows": 2.7},
+            {"max_rows": 10.0},
+            {"max_comparisons": 1e400},
+            {"max_comparisons": float("nan")},
+        ],
+    )
+    def test_unbounded_or_fractional_limits_name_their_key(self, spec):
+        (key,) = spec
+        with pytest.raises(ConfigurationError, match=key):
+            Budget.from_request(spec)
+
 
 class TestServiceConfig:
     def test_validation(self):
@@ -631,6 +651,36 @@ class TestLiveServer:
             assert bad.status == 400  # validated, not silently ignored
             ok = client.explain(_explain_body(), deadline_ms=60_000)
             assert ok.status == 200
+
+    @pytest.mark.parametrize(
+        "budget, header",
+        [
+            (None, "nan"),
+            (None, "inf"),
+            ({"deadline_ms": float("nan")}, None),
+            ({"max_rows": float("inf")}, None),
+            ({"max_comparisons": 1e400}, None),
+            ({"max_rows": 2.7}, None),
+        ],
+    )
+    def test_unbounded_or_fractional_budget_is_400(self, budget, header):
+        """NaN, infinite and fractional limits are refused by key --
+        never run without a deadline, truncated, or answered with a
+        500."""
+        extra = {} if budget is None else {"budget": budget}
+        headers = {} if header is None else {"X-Deadline-Ms": header}
+        (key,) = budget or {"deadline_ms": None}
+        with _live_server() as (httpd, client):
+            client.register_database(REGISTER)
+            response = client.request(
+                "POST",
+                "/v1/explain",
+                body=_explain_body(**extra),
+                headers=headers,
+            )
+        assert response.status == 400
+        assert response.error["type"] == "ConfigurationError"
+        assert key in response.error["message"]
 
     def test_unknown_explain_field_is_400(self):
         with _live_server() as (httpd, client):
@@ -1190,16 +1240,26 @@ class TestLegacyJournalDirectory:
         again, fresh = state.explain_batch(manifests["finished"])
         assert not fresh and again == legacy_result
         # the unfinished one resumed from its two records and converged
-        # to what an uninterrupted run of its manifest answers
+        # to what an uninterrupted run of its manifest answers.  The two
+        # replayed records are served verbatim, so they keep the
+        # ``"baseline": null`` key that outcomes of that layout carried
         resumed = state.batch_result("unfinished")
         assert resumed["replayed"] == 2
+        legacy_records = [
+            json.loads(line)["outcome"]
+            for line in (LEGACY_DIR / "unfinished.journal.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        assert resumed["outcomes"][:2] == legacy_records
+        assert all(r.pop("baseline") is None for r in legacy_records)
         with use_clock(ManualClock()):
             clean_state = _memory_state()
             clean_state.register_database(REGISTER)
             clean, _ = clean_state.explain_batch(manifests["unfinished"])
-        assert json.dumps(resumed["outcomes"], sort_keys=True) == (
-            json.dumps(clean["outcomes"], sort_keys=True)
-        )
+        assert json.dumps(
+            legacy_records + resumed["outcomes"][2:], sort_keys=True
+        ) == json.dumps(clean["outcomes"], sort_keys=True)
         # a second start finds nothing to convert or re-run
         restarted, recovered = self._restart(journal_dir)
         assert recovered == []
@@ -1553,76 +1613,3 @@ class TestReplicatedService:
         ready, document = state.ready_document()
         assert ready and document["status"] == "ready"
         assert "replicas" not in document
-
-
-# ---------------------------------------------------------------------------
-# client pushback retry (RetryPolicy + Retry-After)
-# ---------------------------------------------------------------------------
-class _ScriptedClient(ServiceClient):
-    """A client whose transport replays a scripted response list."""
-
-    def __init__(self, responses, **kw):
-        super().__init__(**kw)
-        self.responses = list(responses)
-        self.sent = 0
-
-    def _send(self, method, path, body=None, headers=None):
-        response = self.responses[
-            min(self.sent, len(self.responses) - 1)
-        ]
-        self.sent += 1
-        return response
-
-
-class TestClientRetry:
-    def test_retries_pushback_until_success(self):
-        from repro.service.client import RetryPolicy, ServiceResponse
-
-        clock = ManualClock()
-        client = _ScriptedClient(
-            [
-                ServiceResponse(status=429, retry_after_s=2.0),
-                ServiceResponse(status=503),
-                ServiceResponse(status=200, body={"ok": True}),
-            ],
-            retry=RetryPolicy(
-                max_attempts=5, backoff_ms=100.0, jitter=0.0
-            ),
-        )
-        with use_clock(clock):
-            response = client.explain_batch({"why_not": ["(q: x)"]})
-        assert response.status == 200
-        assert client.sent == 3
-        # first wait honours Retry-After (2.0 > 0.1); second falls
-        # back to the policy backoff (0.2) -- and no real time passed
-        assert clock.monotonic() == pytest.approx(2.2)
-
-    def test_retry_budget_is_bounded(self):
-        from repro.service.client import RetryPolicy, ServiceResponse
-
-        client = _ScriptedClient(
-            [ServiceResponse(status=429, retry_after_s=0.5)],
-            retry=RetryPolicy(max_attempts=3, jitter=0.0),
-        )
-        with use_clock(ManualClock()):
-            response = client.healthz()
-        assert response.status == 429  # surfaced after the budget
-        assert client.sent == 3
-
-    def test_non_pushback_statuses_return_immediately(self):
-        from repro.service.client import RetryPolicy, ServiceResponse
-
-        client = _ScriptedClient(
-            [ServiceResponse(status=404)],
-            retry=RetryPolicy(max_attempts=5),
-        )
-        response = client.healthz()
-        assert response.status == 404
-        assert client.sent == 1
-
-    def test_no_policy_means_single_shot(self):
-        from repro.service.client import ServiceResponse
-
-        client = _ScriptedClient([ServiceResponse(status=503)])
-        assert client.healthz().status == 503
-        assert client.sent == 1
